@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use snic_uarch::cache::{Cache, CacheConfig, Partition};
 use snic_uarch::config::MachineConfig;
-use snic_uarch::engine::run_colocated;
+use snic_uarch::engine::run_colocated_warm;
 use snic_uarch::stream::{EventSource, SyntheticStream};
 
 fn bench_cache(c: &mut Criterion) {
@@ -47,10 +47,10 @@ fn bench_engine(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("colocated_run_4nf_50k");
     group.bench_function("commodity", |b| {
-        b.iter(|| run_colocated(&MachineConfig::commodity(4, 4 << 20), streams()))
+        b.iter(|| run_colocated_warm(&MachineConfig::commodity(4, 4 << 20), streams(), &[]))
     });
     group.bench_function("snic", |b| {
-        b.iter(|| run_colocated(&MachineConfig::snic(4, 4 << 20), streams()))
+        b.iter(|| run_colocated_warm(&MachineConfig::snic(4, 4 << 20), streams(), &[]))
     });
     group.finish();
 }

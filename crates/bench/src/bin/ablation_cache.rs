@@ -9,14 +9,13 @@
 //! simulations, so they fan across the `snic-sim` worker pool as one
 //! job list.
 
-use snic_bench::streams::{all_traces, TraceSet};
+use snic_bench::streams::{all_traces, doubled, find_trace, TraceSet};
 use snic_bench::{median, render_table, Scale};
 use snic_nf::NfKind;
-use snic_sim::{run_jobs, SendStream, SimJob};
+use snic_sim::{execute, Exec, SimJob};
 use snic_uarch::bus::BusKind;
 use snic_uarch::cache::Partition;
 use snic_uarch::config::MachineConfig;
-use snic_uarch::stream::SharedReplayStream;
 
 const KINDS: [NfKind; 4] = [
     NfKind::Firewall,
@@ -26,20 +25,16 @@ const KINDS: [NfKind; 4] = [
 ];
 
 fn job(traces: &TraceSet, cfg: MachineConfig) -> SimJob {
-    let find = |k: NfKind| {
-        &traces
-            .iter()
-            .find(|(kk, _)| *kk == k)
-            .expect("trace exists")
-            .1
-    };
     // Replay twice: warm pass + measured pass, over the shared
     // recording (no per-run copies).
-    let streams: Vec<SendStream> = KINDS
+    let streams = KINDS
         .iter()
-        .map(|&k| SharedReplayStream::repeated(find(k).clone(), 2).into())
+        .map(|&k| doubled(find_trace(traces, k)))
         .collect();
-    let warmups: Vec<u64> = KINDS.iter().map(|&k| find(k).len() as u64).collect();
+    let warmups = KINDS
+        .iter()
+        .map(|&k| find_trace(traces, k).len() as u64)
+        .collect();
     SimJob::new(cfg, streams).with_warmups(warmups)
 }
 
@@ -78,7 +73,7 @@ fn main() {
     // Job 0 is the shared commodity baseline; jobs 1.. are the variants.
     let mut jobs = vec![job(&traces, MachineConfig::commodity(tenants, l2))];
     jobs.extend(variants.iter().map(|(_, cfg)| job(&traces, cfg.clone())));
-    let outcomes = run_jobs(jobs);
+    let outcomes = execute(Exec::Parallel, jobs);
     let base = &outcomes[0];
 
     let rows: Vec<Vec<String>> = variants

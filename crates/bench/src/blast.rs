@@ -36,15 +36,15 @@ use snic_faults::{
 };
 use snic_nf::NfKind;
 use snic_pktio::rules::{RuleMatch, SwitchRule};
-use snic_sim::{execute, map_exec, Exec, SendStream, SimJob};
+use snic_sim::{execute, map_exec, Exec, SimJob};
 use snic_types::packet::PacketBuilder;
 use snic_types::{AccelKind, ByteSize, CoreId, NfId, Packet, Protocol, SnicError};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::RunOutcome;
-use snic_uarch::stream::{Access, AccessKind, ReplayStream, SharedReplayStream};
+use snic_uarch::stream::{Access, AccessKind, EventSource, SharedReplayStream};
 use snic_verify::{lint_fault_transcript, Finding};
 
-use crate::streams::{all_traces, SharedTrace, TraceSet};
+use crate::streams::{all_traces, doubled, find_trace, SharedTrace, TraceSet};
 use crate::{render_table, Scale};
 
 /// L2 size used for the microarchitectural differential: small enough
@@ -448,12 +448,8 @@ fn perturb_streams(
     }
 }
 
-fn replay(v: Vec<Access>) -> SendStream {
-    ReplayStream::new(v).into()
-}
-
-fn doubled(trace: &SharedTrace) -> SendStream {
-    SharedReplayStream::repeated(SharedTrace::clone(trace), 2).into()
+fn replay(v: &[Access]) -> EventSource {
+    SharedReplayStream::new(v.into()).into()
 }
 
 /// Repeat a recorded trace end to end `repeats` times (owned; the
@@ -476,13 +472,7 @@ fn tiled(trace: &[Access], repeats: usize) -> Vec<Access> {
 /// fault perturbation would land entirely inside the victim's warmup
 /// window and be invisible by construction.
 pub fn uarch_jobs(scenario: FaultScenario, traces: &TraceSet) -> Vec<SimJob> {
-    let find = |k: NfKind| {
-        &traces
-            .iter()
-            .find(|(kk, _)| *kk == k)
-            .expect("trace exists")
-            .1
-    };
+    let find = |k: NfKind| find_trace(traces, k);
     let victim = find(NfKind::Firewall);
     let aggr = find(NfKind::Nat);
     let nicos = find(NfKind::Monitor);
@@ -492,20 +482,15 @@ pub fn uarch_jobs(scenario: FaultScenario, traces: &TraceSet) -> Vec<SimJob> {
     let (aggr_f, nicos_f) =
         perturb_streams(scenario, &tiled(aggr, aggr_reps), &tiled(nicos, nicos_reps));
     let warmups = vec![victim.len() as u64, 0, 0];
-    let clean = || -> Vec<SendStream> {
+    let clean = || -> Vec<EventSource> {
         vec![
             doubled(victim),
             SharedReplayStream::repeated(SharedTrace::clone(aggr), aggr_reps as u32).into(),
             SharedReplayStream::repeated(SharedTrace::clone(nicos), nicos_reps as u32).into(),
         ]
     };
-    let faulted = || -> Vec<SendStream> {
-        vec![
-            doubled(victim),
-            replay(aggr_f.clone()),
-            replay(nicos_f.clone()),
-        ]
-    };
+    let faulted =
+        || -> Vec<EventSource> { vec![doubled(victim), replay(&aggr_f), replay(&nicos_f)] };
     vec![
         SimJob::new(MachineConfig::commodity(3, BLAST_L2_BYTES), clean())
             .with_warmups(warmups.clone()),

@@ -16,7 +16,7 @@
 //! (`crates/bench/tests/streaming_differential.rs` holds this).
 
 use snic_nf::{NfKind, StreamingRecorder};
-use snic_sim::{JobSpec, SimJob};
+use snic_sim::SimJob;
 use snic_trace::{IctfConfig, PhaseSchedule, PhasedConfig, PhasedTrace};
 use snic_types::Packet;
 use snic_uarch::config::MachineConfig;
@@ -214,22 +214,24 @@ pub fn many_tenant_commodity(tenants: usize, l2_bytes: u64) -> MachineConfig {
     MachineConfig::commodity(tenants as u32, quantize_l2(l2_bytes, ways)).with_l2_ways(ways)
 }
 
-/// A re-windable job spec for one streamed colocation run.
+/// A re-runnable streamed colocation: every call rebuilds the tenants'
+/// generators from their seeds, so each returned job replays the
+/// identical run (streamed sources are consumed by running).
 pub fn colo_spec(
     scale: &Scale,
     specs: &[TenantSpec],
     cfg: MachineConfig,
     shards: usize,
-) -> JobSpec {
+) -> impl Fn() -> SimJob + Send + Sync {
     let scale = *scale;
     let specs = specs.to_vec();
-    JobSpec::new(move || {
+    move || {
         let streams = specs
             .iter()
             .map(|s| StreamedSource::new(tenant_source(s, &scale)).into())
             .collect();
         SimJob::new(cfg.clone(), streams).with_shards(shards)
-    })
+    }
 }
 
 /// FNV-1a over every stat field of an outcome — the stable fingerprint
@@ -317,8 +319,9 @@ pub fn streamed_sweep(
             );
             let start = std::time::Instant::now();
             let commodity =
-                colo_spec(scale, &specs, many_tenant_commodity(tenants, l2_bytes), 1).run();
-            let snic = colo_spec(scale, &specs, many_tenant_snic(tenants, l2_bytes), shards).run();
+                colo_spec(scale, &specs, many_tenant_commodity(tenants, l2_bytes), 1)().run();
+            let snic =
+                colo_spec(scale, &specs, many_tenant_snic(tenants, l2_bytes), shards)().run();
             let wall_s = start.elapsed().as_secs_f64();
             let events = outcome_events(&snic);
             let commodity_ipc = mean_ipc(&commodity);
@@ -397,9 +400,9 @@ pub fn billion_run(
     shards: usize,
 ) -> BillionReport {
     let specs = tenant_mix(tenants, seed, total_events, true);
-    let spec = colo_spec(scale, &specs, many_tenant_snic(tenants, 4 << 20), shards);
+    let job = colo_spec(scale, &specs, many_tenant_snic(tenants, 4 << 20), shards)();
     let start = std::time::Instant::now();
-    let outcome = spec.run();
+    let outcome = job.run();
     let wall_s = start.elapsed().as_secs_f64();
     let events = outcome_events(&outcome);
     BillionReport {
@@ -503,15 +506,15 @@ mod tests {
     #[test]
     fn streamed_colo_serial_parallel_sharded_identical() {
         let specs = tenant_mix(6, 0xc010, 30_000, false);
-        let spec_serial = colo_spec(&tiny(), &specs, many_tenant_snic(6, 1 << 20), 1);
-        let serial = spec_serial.run();
+        let spec = colo_spec(&tiny(), &specs, many_tenant_snic(6, 1 << 20), 1);
+        let serial = spec().run();
         assert_eq!(outcome_events(&serial), 30_000);
         for shards in [2, 3, 6] {
-            let sharded = colo_spec(&tiny(), &specs, many_tenant_snic(6, 1 << 20), shards).run();
+            let sharded = spec().with_shards(shards).run();
             assert_eq!(serial.nfs, sharded.nfs, "shards={shards}");
         }
-        let parallel = snic_sim::run_specs(&[spec_serial], Exec::Parallel);
-        assert_eq!(parallel[0].nfs, serial.nfs);
+        let parallel = snic_sim::execute(Exec::Parallel, vec![spec(), spec()]);
+        assert_eq!(parallel[1].nfs, serial.nfs);
     }
 
     #[test]

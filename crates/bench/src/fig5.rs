@@ -13,12 +13,12 @@
 //! `crates/bench/tests/parallel_determinism.rs`).
 
 use snic_nf::NfKind;
-use snic_sim::{execute, Exec, SendStream, SimJob};
+use snic_sim::{execute, Exec, SimJob};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::RunOutcome;
-use snic_uarch::stream::SharedReplayStream;
+use snic_uarch::EventSource;
 
-use crate::streams::{all_traces, SharedTrace, TraceSet};
+use crate::streams::{all_traces, doubled, find_trace, TraceSet};
 use crate::{median, percentile, Scale};
 
 /// One measured point: an NF at one setting.
@@ -34,15 +34,6 @@ pub struct DegradationPoint {
     pub p99_pct: f64,
 }
 
-/// A stream that replays the recorded trace twice: the first pass warms
-/// the caches (as §5.3's 1-billion-instruction warmup does), the second
-/// is measured. The recording is shared, not copied — the old owned
-/// version materialised four full copies of every trace per measured
-/// point (two streams × two machine configs).
-fn doubled(trace: &SharedTrace) -> SendStream {
-    SharedReplayStream::repeated(SharedTrace::clone(trace), 2).into()
-}
-
 /// The two jobs (commodity baseline, S-NIC) measuring one colocation:
 /// NF `focus` (index 0) plus `partners`.
 pub(crate) fn colocation_jobs(
@@ -51,15 +42,9 @@ pub(crate) fn colocation_jobs(
     partners: &[NfKind],
     l2_bytes: u64,
 ) -> [SimJob; 2] {
-    let find = |k: NfKind| {
-        &traces
-            .iter()
-            .find(|(kk, _)| *kk == k)
-            .expect("trace exists")
-            .1
-    };
+    let find = |k: NfKind| find_trace(traces, k);
     let tenants = (partners.len() + 1) as u32;
-    let mk_streams = || -> Vec<SendStream> {
+    let mk_streams = || -> Vec<EventSource> {
         let mut v = vec![doubled(find(focus))];
         v.extend(partners.iter().map(|&p| doubled(find(p))));
         v

@@ -1,7 +1,7 @@
 //! Wall-clock performance harness for the microarchitectural engine.
 //!
 //! Every figure in the reproduction bottoms out in
-//! [`snic_uarch::engine::run_colocated_sink`], so this module measures
+//! [`snic_uarch::engine::run_colocated_ids_sink`], so this module measures
 //! exactly that: events per second over the recorded fig5 NF traces
 //! (seed `0xf15a`, the fig5a seed, so the workload is the real sweep
 //! workload, not a synthetic stand-in) at several colocation scales,

@@ -14,7 +14,7 @@ use snic_nf::{build, record_stream_iter, NfKind, StreamingRecorder};
 use snic_trace::{IctfConfig, IctfLikeTrace};
 use snic_types::Packet;
 use snic_uarch::stream::Access;
-use snic_uarch::{EventSource, StreamedSource, TraceSource};
+use snic_uarch::{EventSource, SharedReplayStream, StreamedSource, TraceSource};
 
 use crate::Scale;
 
@@ -25,6 +25,22 @@ pub type SharedTrace = Arc<[Access]>;
 /// The six NF recordings at one `(scale, seed)`, in [`NfKind::ALL`]
 /// order.
 pub type TraceSet = Arc<[(NfKind, SharedTrace)]>;
+
+/// The recording of `kind` in a trace set.
+pub fn find_trace(traces: &TraceSet, kind: NfKind) -> &SharedTrace {
+    &traces
+        .iter()
+        .find(|(k, _)| *k == kind)
+        .expect("trace sets record every kind")
+        .1
+}
+
+/// A stream that replays the recorded trace twice: the first pass warms
+/// the caches (as §5.3's 1-billion-instruction warmup does), the second
+/// is measured. The recording is shared, not copied.
+pub fn doubled(trace: &SharedTrace) -> EventSource {
+    SharedReplayStream::repeated(SharedTrace::clone(trace), 2).into()
+}
 
 /// The lazy packet workload shared by all NFs at this scale: packets
 /// are built one at a time as the consumer pulls, so streaming callers
@@ -242,7 +258,7 @@ mod tests {
                 kind: snic_uarch::AccessKind::Load,
             }; 128];
             loop {
-                let n = snic_uarch::AccessStream::next_batch(&mut src, &mut buf);
+                let n = src.next_batch(&mut buf);
                 if n == 0 {
                     break;
                 }

@@ -8,13 +8,15 @@
 //! suite shards a *sweep* across runs, this one shards a *run* across
 //! tenants.
 
+use std::sync::Arc;
+
 use snic_bench::streams::all_traces;
 use snic_bench::Scale;
-use snic_sim::{run_sharded, run_sharded_sink, shardable, SendStream};
-use snic_telemetry::Recorder;
+use snic_sim::{run_sharded, shardable, SimJob};
+use snic_telemetry::{Recorder, TelemetrySink};
 use snic_uarch::config::MachineConfig;
-use snic_uarch::engine::{run_colocated_sink, run_colocated_warm};
-use snic_uarch::stream::SharedReplayStream;
+use snic_uarch::engine::{run_colocated_warm, RunOutcome};
+use snic_uarch::stream::{EventSource, SharedReplayStream};
 
 fn tiny() -> Scale {
     Scale {
@@ -29,9 +31,9 @@ fn tiny() -> Scale {
 
 /// `tenants` recorded traces round-robin, each replayed twice with the
 /// first pass as warmup — the fig5 sweep shape.
-fn cell(tenants: usize) -> (Vec<SendStream>, Vec<u64>) {
+fn cell(tenants: usize) -> (Vec<EventSource>, Vec<u64>) {
     let traces = all_traces(&tiny(), 0xdead);
-    let streams: Vec<SendStream> = (0..tenants)
+    let streams: Vec<EventSource> = (0..tenants)
         .map(|i| {
             let (_, trace) = &traces[i % traces.len()];
             SharedReplayStream::repeated(trace.clone(), 2).into()
@@ -41,6 +43,18 @@ fn cell(tenants: usize) -> (Vec<SendStream>, Vec<u64>) {
         .map(|i| traces[i % traces.len()].1.len() as u64)
         .collect();
     (streams, warmups)
+}
+
+/// Run the 4-tenant cell with a live recorder at `shards` shards.
+fn recorded(cfg: &MachineConfig, shards: usize) -> (RunOutcome, Arc<Recorder>) {
+    let (streams, warmups) = cell(4);
+    let rec = Arc::new(Recorder::new());
+    let out = SimJob::new(cfg.clone(), streams)
+        .with_warmups(warmups)
+        .with_sink(Arc::clone(&rec) as Arc<dyn TelemetrySink>)
+        .with_shards(shards)
+        .run();
+    (out, rec)
 }
 
 #[test]
@@ -74,13 +88,9 @@ fn sharded_byte_identical_to_serial_for_every_shard_count() {
 #[test]
 fn sharded_telemetry_byte_identical_to_serial() {
     let cfg = MachineConfig::snic(4, 1 << 20);
-    let (streams, warmups) = cell(4);
-    let serial_rec = Recorder::new();
-    let serial = run_colocated_sink(&cfg, streams, &warmups, &serial_rec);
+    let (serial, serial_rec) = recorded(&cfg, 1);
     for shards in [2usize, 4] {
-        let (streams, warmups) = cell(4);
-        let rec = Recorder::new();
-        let sharded = run_sharded_sink(&cfg, streams, &warmups, shards, Some(&rec));
+        let (sharded, rec) = recorded(&cfg, shards);
         assert_eq!(serial.nfs, sharded.nfs, "stats diverged at {shards} shards");
         assert_eq!(
             serial_rec.summary().render(),
@@ -97,10 +107,8 @@ fn sink_on_sharded_matches_sink_off_sharded() {
     let cfg = MachineConfig::snic(4, 1 << 20);
     let (streams, warmups) = cell(4);
     let bare = run_sharded(&cfg, streams, &warmups, 2);
-    let (streams, warmups) = cell(4);
-    let rec = Recorder::new();
-    let recorded = run_sharded_sink(&cfg, streams, &warmups, 2, Some(&rec));
-    assert_eq!(bare.nfs, recorded.nfs);
+    let (with_sink, rec) = recorded(&cfg, 2);
+    assert_eq!(bare.nfs, with_sink.nfs);
     assert!(!rec.summary().is_empty(), "the sink saw the sharded run");
 }
 

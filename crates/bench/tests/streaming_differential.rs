@@ -13,15 +13,17 @@
 //!   many passes);
 //! - engine outcomes: a colocation fed by [`StreamedSource`]s ≡ the
 //!   same colocation fed by `SharedReplayStream`s, including multi-pass
-//!   (`passes = 2`) replays and warmup windows;
+//!   (`passes = 2`) replays and warmup windows, for NF generators and
+//!   for the synthetic workload (whose streamed runs end short at
+//!   `STREAM_CHUNK` boundaries);
 //! - dispatch: serial ≡ parallel ≡ sharded for streamed jobs.
 
 use snic_bench::streams::{all_traces, nf_access_trace, nf_trace_source, streamed_nf_source};
 use snic_bench::Scale;
 use snic_nf::NfKind;
-use snic_sim::{run_specs, Exec, JobSpec, SimJob};
+use snic_sim::{execute, Exec, SimJob};
 use snic_uarch::config::MachineConfig;
-use snic_uarch::stream::SharedReplayStream;
+use snic_uarch::stream::{SharedReplayStream, SyntheticStream};
 use snic_uarch::{Access, AccessKind, EventSource, StreamedSource};
 
 fn tiny() -> Scale {
@@ -81,20 +83,28 @@ fn rewind_is_idempotent_over_many_passes() {
         &mut streamed_nf_source(NfKind::Firewall, &tiny(), 7, 1),
         256,
     );
-    let mut repeated = streamed_nf_source(NfKind::Firewall, &tiny(), 7, 3);
-    let three = drain(&mut repeated, 256);
+    let three = drain(
+        &mut streamed_nf_source(NfKind::Firewall, &tiny(), 7, 3),
+        256,
+    );
     assert_eq!(three.len(), 3 * one_pass.len());
     for (i, pass) in three.chunks(one_pass.len()).enumerate() {
         assert_eq!(pass, &one_pass[..], "pass {i}");
     }
-    // An explicit rewind after exhaustion restores the full replay.
-    assert!(repeated.rewind());
-    assert_eq!(drain(&mut repeated, 256), three, "post-exhaustion rewind");
+    // An explicit rewind of the generator after exhaustion restores the
+    // full replay.
+    let mut generator = nf_trace_source(NfKind::Firewall, &tiny(), 7);
+    let mut buf = [one_pass[0]; 100];
+    while generator.fill(&mut buf) > 0 {}
+    generator.rewind();
+    let mut src: EventSource = StreamedSource::repeated(generator, 3).into();
+    assert_eq!(drain(&mut src, 256), three, "post-exhaustion rewind");
 }
 
 /// Streamed and materialized engine runs at one colocation scale, both
 /// with double-pass replays and first-pass warmups — the fig5 shape.
-fn paired_specs(tenants: usize) -> (JobSpec, JobSpec) {
+/// Each closure rebuilds its job, so every call runs afresh.
+fn paired_jobs(tenants: usize) -> (impl Fn() -> SimJob, impl Fn() -> SimJob) {
     let scale = tiny();
     let traces = all_traces(&scale, 0xf5f5);
     let warmups: Vec<u64> = (0..tenants)
@@ -102,48 +112,86 @@ fn paired_specs(tenants: usize) -> (JobSpec, JobSpec) {
         .collect();
     let cfg = MachineConfig::snic(tenants as u32, 1 << 20);
     let materialized = {
-        let (cfg, traces, warmups) = (cfg.clone(), traces.clone(), warmups.clone());
-        JobSpec::new(move || {
+        let (cfg, warmups) = (cfg.clone(), warmups.clone());
+        move || {
             let streams = (0..tenants)
                 .map(|slot| {
                     SharedReplayStream::repeated(traces[slot % traces.len()].1.clone(), 2).into()
                 })
                 .collect();
             SimJob::new(cfg.clone(), streams).with_warmups(warmups.clone())
-        })
+        }
     };
-    let streamed = JobSpec::new(move || {
+    let streamed = move || {
         let streams = (0..tenants)
             .map(|slot| {
                 streamed_nf_source(NfKind::ALL[slot % NfKind::ALL.len()], &scale, 0xf5f5, 2)
             })
             .collect();
         SimJob::new(cfg.clone(), streams).with_warmups(warmups.clone())
-    });
+    };
     (materialized, streamed)
+}
+
+/// Tenant `slot`'s synthetic workload: lengths straddle several
+/// `STREAM_CHUNK` boundaries without landing on one.
+fn synthetic(slot: u64) -> SyntheticStream {
+    SyntheticStream::new(
+        1 << (16 + slot),
+        3 + slot as u32,
+        5,
+        9_001 + 2_777 * slot,
+        slot,
+    )
 }
 
 #[test]
 fn engine_outcome_identical_streamed_vs_materialized() {
     for tenants in [1, 4, 6] {
-        let (materialized, streamed) = paired_specs(tenants);
-        let a = materialized.run();
-        let b = streamed.run();
+        let (materialized, streamed) = paired_jobs(tenants);
+        let a = materialized().run();
+        let b = streamed().run();
         assert_eq!(a.nfs, b.nfs, "tenants={tenants}");
+    }
+    // The synthetic workload reaches the engine through short
+    // `StreamedSource` slices; its materialized recording replays
+    // through `SharedReplayStream`. Both double-pass, first pass warm.
+    let recordings: Vec<Vec<Access>> = (0..4)
+        .map(|slot| drain(&mut synthetic(slot).into(), 1000))
+        .collect();
+    let warmups: Vec<u64> = recordings.iter().map(|r| r.len() as u64).collect();
+    for cfg in [
+        MachineConfig::commodity(4, 1 << 20),
+        MachineConfig::snic(4, 1 << 20),
+    ] {
+        let streamed = (0..4)
+            .map(|slot| StreamedSource::repeated(Box::new(synthetic(slot)), 2).into())
+            .collect();
+        let materialized = recordings
+            .iter()
+            .map(|r| SharedReplayStream::repeated(r.as_slice().into(), 2).into())
+            .collect();
+        let a = SimJob::new(cfg.clone(), streamed)
+            .with_warmups(warmups.clone())
+            .run();
+        let b = SimJob::new(cfg.clone(), materialized)
+            .with_warmups(warmups.clone())
+            .run();
+        assert_eq!(a.nfs, b.nfs, "synthetic under {cfg:?}");
     }
 }
 
 #[test]
 fn streamed_jobs_serial_parallel_sharded_identical() {
-    let (_, streamed) = paired_specs(6);
-    let serial = streamed.run();
+    let (_, streamed) = paired_jobs(6);
+    let serial = streamed().run();
     for shards in [2, 3, 6] {
         assert_eq!(
             serial.nfs,
-            streamed.run_with_shards(shards).nfs,
+            streamed().with_shards(shards).run().nfs,
             "shards={shards}"
         );
     }
-    let parallel = run_specs(&[streamed], Exec::Parallel);
-    assert_eq!(parallel[0].nfs, serial.nfs);
+    let parallel = execute(Exec::Parallel, vec![streamed(), streamed()]);
+    assert_eq!(parallel[1].nfs, serial.nfs);
 }

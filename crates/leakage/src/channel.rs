@@ -19,7 +19,7 @@ use snic_nf::covert;
 use snic_telemetry::{metrics, Recorder, Summary};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::run_colocated_ids_sink;
-use snic_uarch::stream::{Access, EventSource, ReplayStream};
+use snic_uarch::stream::{Access, EventSource, SharedReplayStream};
 
 /// Tenants in every leakage scenario: receiver (0) and sender (1).
 pub const TENANTS: u32 = 2;
@@ -252,7 +252,7 @@ impl Channel {
 }
 
 fn replay(accesses: Vec<Access>) -> EventSource {
-    EventSource::Replay(ReplayStream::new(accesses))
+    SharedReplayStream::new(accesses.into()).into()
 }
 
 #[cfg(test)]

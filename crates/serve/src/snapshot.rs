@@ -183,6 +183,30 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_a_bad_request_and_restores() {
+        // 200,000 `[` used to overflow the JSON parser's stack and
+        // abort the daemon on one request line.
+        let hostile = "[".repeat(200_000);
+        let launch = r#"{"op":"launch","tenant":"a","id":1,"name":"fw","mem":8}"#;
+        let mut d = Daemon::new(DaemonConfig::default());
+        let mut original = d.ingest(&hostile);
+        assert_eq!(original.len(), 1, "{original:?}");
+        assert!(
+            original[0].contains(crate::codes::BAD_REQUEST),
+            "{original:?}"
+        );
+        // The daemon keeps serving: the next request completes normally.
+        let mut fresh = Daemon::new(DaemonConfig::default());
+        let next = d.ingest(launch);
+        assert_eq!(next, fresh.ingest(launch));
+        assert!(next.iter().any(|l| l.contains("\"ok\":true")), "{next:?}");
+        original.extend(next);
+        // A journal holding the line replays without crashing.
+        let (_, replayed) = restore(&render_image(&d)).expect("restore");
+        assert_eq!(replayed, original);
+    }
+
+    #[test]
     fn corrupt_images_are_refused() {
         let d = seeded_daemon();
         let image = render_image(&d);

@@ -2,33 +2,34 @@
 //!
 //! The §5.3 sweeps ("every possible colocation") are embarrassingly
 //! parallel: each colocation run is an independent, side-effect-free
-//! call to [`snic_uarch::engine::run_colocated_warm`]. This crate gives
-//! them a fan-out layer:
+//! engine call. This crate gives them one run path and a fan-out layer:
 //!
 //! - [`SimJob`] — one pending colocation run (machine config, streams,
-//!   warmup window), runnable on any thread;
-//! - [`JobSpec`] — a re-windable job *factory*: rebuilds the same
-//!   deterministic job on demand so one logical run can execute many
-//!   times (serial vs parallel vs sharded differentials, streamed
-//!   sources that are consumed by running);
-//! - [`run_jobs`] / [`run_jobs_on`] — a worker pool on
-//!   [`std::thread::scope`] that drains a job list across cores and
-//!   returns outcomes **in input order**, so parallel results are
-//!   bit-identical to [`run_jobs_serial`];
-//! - [`par_map`] / [`par_map_on`] — the same order-preserving pool for
-//!   arbitrary independent work (per-NF launches, per-domain solo
-//!   replays, per-scenario attack recordings);
-//! - [`run_sharded`] / [`run_sharded_sink`] — *intra-run* parallelism:
-//!   one colocation under the S-NIC disciplines (see [`shardable`])
-//!   split into contiguous tenant chunks simulated concurrently with
-//!   their global tenant ids, then reassembled — and, with a sink,
-//!   telemetry replayed in shard order from per-shard
-//!   [`BufferSink`]s — bit-identical to the serial run.
+//!   warmup window, optional telemetry sink, shard count), runnable on
+//!   any thread. [`SimJob::run`] is the single place that chooses
+//!   between the serial engine and *intra-run* sharding — one
+//!   colocation under the S-NIC disciplines (see [`shardable`]) split
+//!   into contiguous tenant chunks simulated concurrently with their
+//!   global tenant ids, then reassembled, with telemetry replayed in
+//!   shard order from per-shard [`BufferSink`]s — and between the
+//!   instrumented and uninstrumented engine. [`run_sharded`] is a
+//!   shorthand for a sink-less sharded job;
+//! - [`execute`] — run a job list serially or across the worker pool
+//!   ([`Exec`]); outcomes come back **in input order**, so parallel
+//!   results are bit-identical to serial ones;
+//! - [`par_map`] / [`par_map_on`] / [`map_exec`] — the same
+//!   order-preserving pool for arbitrary independent work (per-NF
+//!   launches, per-domain solo replays, per-scenario attack recordings).
+//!
+//! A job consumes its streams, so a run that must execute more than
+//! once (serial vs sharded differentials, streamed sources consumed by
+//! running) is expressed as a plain `Fn() -> SimJob` closure that
+//! rebuilds the job from its seeds on every call.
 //!
 //! Determinism is the contract: every function here is a pure reorder
 //! of *when* work happens, never of *what* is computed or in which slot
-//! the result lands. `crates/bench/tests/parallel_determinism.rs` holds
-//! the engine to it bit-for-bit.
+//! the result lands. `crates/bench/tests/parallel_determinism.rs` and
+//! `shard_determinism.rs` hold the engine to it bit-for-bit.
 //!
 //! The pool uses only the standard library (the workspace is offline;
 //! no rayon). Worker count defaults to
@@ -41,26 +42,19 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use snic_telemetry::{BufferSink, TelemetrySink};
+use snic_telemetry::{BufferSink, NullSink, TelemetrySink};
 use snic_uarch::bus::BusKind;
 use snic_uarch::cache::Partition;
 use snic_uarch::config::MachineConfig;
-use snic_uarch::engine::{
-    run_colocated_ids_sink, run_colocated_sink, run_colocated_warm, RunOutcome,
-};
+use snic_uarch::engine::{run_colocated_ids_sink, run_colocated_warm, RunOutcome};
 use snic_uarch::stream::EventSource;
 
-/// A reference stream that can move to a worker thread. [`EventSource`]
-/// is `Send` (asserted in `snic-uarch`'s stream tests); the alias name
-/// survives from the boxed-trait-object era so call sites read the same.
-pub type SendStream = EventSource;
-
-/// One pending colocation run: everything
-/// [`snic_uarch::engine::run_colocated_warm`] needs, packaged so the run
-/// can execute on any worker thread.
+/// One pending colocation run: machine configuration, one stream per
+/// tenant, and how to execute it, packaged so the run can execute on
+/// any worker thread.
 pub struct SimJob {
     cfg: MachineConfig,
-    streams: Vec<SendStream>,
+    streams: Vec<EventSource>,
     warmups: Vec<u64>,
     sink: Option<Arc<dyn TelemetrySink>>,
     shards: usize,
@@ -68,7 +62,7 @@ pub struct SimJob {
 
 impl SimJob {
     /// A job with no warmup window (statistics cover the whole run).
-    pub fn new(cfg: MachineConfig, streams: Vec<SendStream>) -> SimJob {
+    pub fn new(cfg: MachineConfig, streams: Vec<EventSource>) -> SimJob {
         SimJob {
             cfg,
             streams,
@@ -93,31 +87,83 @@ impl SimJob {
         self
     }
 
-    /// Split this run across up to `shards` worker threads (see
-    /// [`run_sharded`]). Only takes effect when the machine
-    /// configuration is [`shardable`]; otherwise the run stays serial
-    /// — either way the outcome is bit-identical.
+    /// Split this run across up to `shards` worker threads. Only takes
+    /// effect when the machine configuration is [`shardable`];
+    /// otherwise the run stays serial — either way the outcome is
+    /// bit-identical.
     pub fn with_shards(mut self, shards: usize) -> SimJob {
         self.shards = shards.max(1);
         self
     }
 
-    /// Execute the job, fanning a shardable colocation across worker
-    /// threads when [`SimJob::with_shards`] asked for it.
+    /// Execute the job.
+    ///
+    /// A [`shardable`] job with more than one shard splits its tenant
+    /// list into contiguous chunks `[s*n/S, (s+1)*n/S)`, simulates each
+    /// chunk on the worker pool with the tenants' *global* ids (way
+    /// slice, bus epoch slot, telemetry domain and address-space tag all
+    /// follow the id, not the chunk position), and reassembles
+    /// per-tenant results in tenant order. Each shard buffers its
+    /// telemetry in a [`BufferSink`] and the buffers are replayed into
+    /// the job's sink in shard order, so the outcome and the telemetry
+    /// operation stream are bit-identical to the serial run
+    /// (`crates/bench/tests/shard_determinism.rs`).
     pub fn run(self) -> RunOutcome {
-        if self.shards > 1 {
-            return run_sharded_sink(
-                &self.cfg,
-                self.streams,
-                &self.warmups,
-                self.shards,
-                self.sink.as_deref(),
-            );
+        let SimJob {
+            cfg,
+            streams,
+            warmups,
+            sink,
+            shards,
+        } = self;
+        let n = streams.len();
+        let shards = shards.min(n);
+        if shards <= 1 || !shardable(&cfg) {
+            return match sink {
+                Some(sink) => {
+                    let ids: Vec<u32> = (0..n as u32).collect();
+                    run_colocated_ids_sink(&cfg, streams, &warmups, &ids, sink.as_ref())
+                }
+                None => run_colocated_warm(&cfg, streams, &warmups),
+            };
         }
-        match self.sink {
-            Some(sink) => run_colocated_sink(&self.cfg, self.streams, &self.warmups, sink.as_ref()),
-            None => run_colocated_warm(&self.cfg, self.streams, &self.warmups),
+        let warm: Vec<u64> = (0..n)
+            .map(|i| warmups.get(i).copied().unwrap_or(0))
+            .collect();
+        let mut parts: Vec<(usize, Vec<EventSource>)> = Vec::with_capacity(shards);
+        let mut it = streams.into_iter();
+        for s in 0..shards {
+            let lo = s * n / shards;
+            let hi = (s + 1) * n / shards;
+            parts.push((lo, it.by_ref().take(hi - lo).collect()));
         }
+        let live = sink.as_ref().is_some_and(|s| s.enabled());
+        let results = par_map_on(parts, default_threads(), |(lo, chunk)| {
+            let ids: Vec<u32> = (lo as u32..(lo + chunk.len()) as u32).collect();
+            let w = &warm[lo..lo + chunk.len()];
+            if live {
+                let buf = BufferSink::new();
+                (
+                    run_colocated_ids_sink(&cfg, chunk, w, &ids, &buf),
+                    Some(buf),
+                )
+            } else {
+                (
+                    run_colocated_ids_sink(&cfg, chunk, w, &ids, &NullSink),
+                    None,
+                )
+            }
+        });
+        let mut nfs = Vec::with_capacity(n);
+        for (out, buf) in results {
+            nfs.extend(out.nfs);
+            if let (Some(buf), Some(sink)) = (buf, &sink) {
+                // Shard order = tenant order: the real sink sees the exact
+                // operation sequence of a serial run.
+                buf.replay(sink.as_ref());
+            }
+        }
+        RunOutcome { nfs }
     }
 }
 
@@ -133,69 +179,12 @@ impl std::fmt::Debug for SimJob {
     }
 }
 
-/// A re-windable job specification: a deterministic factory that
-/// builds a fresh [`SimJob`] on every call.
-///
-/// [`SimJob::run`] consumes its streams, so a job can execute exactly
-/// once — fine for materialized `Arc<[Access]>` replays (cloning the
-/// job is a refcount bump) but wrong for streamed sources, whose
-/// generators are consumed by running. A `JobSpec` captures *how to
-/// build* the job instead: every [`JobSpec::build`] rebuilds NFs,
-/// workload generators, and engine config from their seeds, so the same
-/// logical run can execute serially, in parallel, and sharded — the
-/// serial≡parallel≡sharded differentials — with each execution
-/// bit-identical by construction.
-pub struct JobSpec {
-    make: Box<dyn Fn() -> SimJob + Send + Sync>,
-}
-
-impl JobSpec {
-    /// Wrap a deterministic job factory (same call, same job — seeded
-    /// generation, no ambient randomness).
-    pub fn new(make: impl Fn() -> SimJob + Send + Sync + 'static) -> JobSpec {
-        JobSpec {
-            make: Box::new(make),
-        }
-    }
-
-    /// Build a fresh, runnable job.
-    pub fn build(&self) -> SimJob {
-        (self.make)()
-    }
-
-    /// Build and run one instance of the job.
-    pub fn run(&self) -> RunOutcome {
-        self.build().run()
-    }
-
-    /// Build and run one instance with the shard count overridden —
-    /// the sharded leg of a determinism differential.
-    pub fn run_with_shards(&self, shards: usize) -> RunOutcome {
-        self.build().with_shards(shards).run()
-    }
-}
-
-impl std::fmt::Debug for JobSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("JobSpec(..)")
-    }
-}
-
-/// Run every spec once, dispatching on [`Exec`]; outcomes come back in
-/// input order. The specs survive the run and can execute again.
-pub fn run_specs(specs: &[JobSpec], exec: Exec) -> Vec<RunOutcome> {
-    match exec {
-        Exec::Serial => specs.iter().map(JobSpec::run).collect(),
-        Exec::Parallel => par_map(specs.iter().collect(), JobSpec::run),
-    }
-}
-
 /// Whether `cfg` guarantees per-tenant independence: a partitioned L2
 /// (static ways or SecDCP) together with the epoch-partitioned temporal
 /// bus. Under those disciplines a tenant's cache slice, bus windows,
 /// and address-space tag are functions of its id alone, so its
 /// simulated outcome cannot depend on co-tenant activity — which is
-/// exactly what makes [`run_sharded`] legal. A shared L2 or FCFS bus
+/// exactly what makes sharding a run legal. A shared L2 or FCFS bus
 /// couples tenants through LRU state and queueing order, so those runs
 /// must stay on the serial interleaving engine.
 pub fn shardable(cfg: &MachineConfig) -> bool {
@@ -203,78 +192,18 @@ pub fn shardable(cfg: &MachineConfig) -> bool {
 }
 
 /// Shard one colocation run across up to `shards` worker threads,
-/// without telemetry. See [`run_sharded_sink`].
+/// without telemetry: shorthand for a [`SimJob`] with warmups and
+/// [`SimJob::with_shards`].
 pub fn run_sharded(
     cfg: &MachineConfig,
-    streams: Vec<SendStream>,
+    streams: Vec<EventSource>,
     warmups: &[u64],
     shards: usize,
 ) -> RunOutcome {
-    run_sharded_sink(cfg, streams, warmups, shards, None)
-}
-
-/// Shard one colocation run: split the tenant list into `shards`
-/// contiguous chunks, simulate each chunk on the worker pool with the
-/// tenants' *global* ids (way slice, bus epoch slot, telemetry domain,
-/// address-space tag all follow the id, not the chunk position), and
-/// reassemble per-tenant results in tenant order.
-///
-/// Requires a [`shardable`] configuration to actually fan out; anything
-/// else falls back to the serial engine, as does `shards <= 1`. Either
-/// way the outcome — and, with a live sink, the telemetry operation
-/// stream — is bit-identical to the serial run: each shard buffers its
-/// telemetry in a [`BufferSink`] and the buffers are replayed into the
-/// real sink in shard order (`crates/bench/tests/shard_determinism.rs`
-/// holds all of this bit-for-bit).
-pub fn run_sharded_sink(
-    cfg: &MachineConfig,
-    streams: Vec<SendStream>,
-    warmups: &[u64],
-    shards: usize,
-    sink: Option<&dyn TelemetrySink>,
-) -> RunOutcome {
-    let n = streams.len();
-    let shards = shards.clamp(1, n.max(1));
-    if shards <= 1 || !shardable(cfg) {
-        return match sink {
-            Some(s) => run_colocated_sink(cfg, streams, warmups, s),
-            None => run_colocated_warm(cfg, streams, warmups),
-        };
-    }
-    let warm: Vec<u64> = (0..n)
-        .map(|i| warmups.get(i).copied().unwrap_or(0))
-        .collect();
-    // Contiguous tenant chunks [s*n/S, (s+1)*n/S), never empty.
-    let mut parts: Vec<(usize, Vec<SendStream>)> = Vec::with_capacity(shards);
-    let mut it = streams.into_iter();
-    for s in 0..shards {
-        let lo = s * n / shards;
-        let hi = (s + 1) * n / shards;
-        parts.push((lo, it.by_ref().take(hi - lo).collect()));
-    }
-    let live = sink.is_some_and(TelemetrySink::enabled);
-    let results = par_map_on(parts, default_threads(), |(lo, chunk)| {
-        let ids: Vec<u32> = (lo as u32..(lo + chunk.len()) as u32).collect();
-        let w = &warm[lo..lo + chunk.len()];
-        if live {
-            let buf = BufferSink::new();
-            let out = run_colocated_ids_sink(cfg, chunk, w, &ids, &buf);
-            (out, Some(buf))
-        } else {
-            let out = run_colocated_ids_sink(cfg, chunk, w, &ids, &snic_telemetry::NullSink);
-            (out, None)
-        }
-    });
-    let mut nfs = Vec::with_capacity(n);
-    for (out, buf) in results {
-        nfs.extend(out.nfs);
-        if let (Some(buf), Some(sink)) = (buf, sink) {
-            // Shard order = tenant order: the real sink sees the exact
-            // operation sequence of a serial run.
-            buf.replay(&sink);
-        }
-    }
-    RunOutcome { nfs }
+    SimJob::new(cfg.clone(), streams)
+        .with_warmups(warmups.to_vec())
+        .with_shards(shards)
+        .run()
 }
 
 /// Which execution strategy a sweep uses. The two must produce
@@ -288,7 +217,7 @@ pub enum Exec {
     Parallel,
 }
 
-/// Worker count used by [`run_jobs`] and [`par_map`]:
+/// Worker count used by [`execute`] and [`par_map`]:
 /// `SNIC_SIM_THREADS` when set to a positive integer, else
 /// [`std::thread::available_parallelism`], else 1.
 pub fn default_threads() -> usize {
@@ -303,29 +232,10 @@ pub fn default_threads() -> usize {
         })
 }
 
-/// Run every job on the calling thread, in order.
-pub fn run_jobs_serial(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
-    jobs.into_iter().map(SimJob::run).collect()
-}
-
-/// Run jobs across [`default_threads`] workers; outcomes come back in
-/// input order.
-pub fn run_jobs(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
-    run_jobs_on(jobs, default_threads())
-}
-
-/// Run jobs across exactly `threads` workers; outcomes come back in
-/// input order.
-pub fn run_jobs_on(jobs: Vec<SimJob>, threads: usize) -> Vec<RunOutcome> {
-    par_map_on(jobs, threads, SimJob::run)
-}
-
-/// Dispatch on [`Exec`]: the serial path or the default pool.
+/// Run every job, serially or across the default pool; outcomes come
+/// back in input order.
 pub fn execute(exec: Exec, jobs: Vec<SimJob>) -> Vec<RunOutcome> {
-    match exec {
-        Exec::Serial => run_jobs_serial(jobs),
-        Exec::Parallel => run_jobs(jobs),
-    }
+    map_exec(exec, jobs, SimJob::run)
 }
 
 /// Dispatch an arbitrary order-preserving map on [`Exec`]: the serial
@@ -406,10 +316,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snic_telemetry::Recorder;
     use snic_uarch::stream::SyntheticStream;
 
     fn job(seed: u64, tenants: usize) -> SimJob {
-        let streams: Vec<SendStream> = (0..tenants)
+        let streams: Vec<EventSource> = (0..tenants)
             .map(|i| SyntheticStream::new(2 << 20, 8, 4, 4_000, seed + i as u64).into())
             .collect();
         SimJob::new(MachineConfig::commodity(tenants as u32, 1 << 20), streams)
@@ -418,9 +329,9 @@ mod tests {
 
     #[test]
     fn pool_matches_serial_bitwise() {
-        let serial = run_jobs_serial((0..12).map(|s| job(s, 2)).collect());
+        let serial = execute(Exec::Serial, (0..12).map(|s| job(s, 2)).collect());
         for threads in [1, 2, 5, 32] {
-            let pooled = run_jobs_on((0..12).map(|s| job(s, 2)).collect(), threads);
+            let pooled = par_map_on((0..12).map(|s| job(s, 2)).collect(), threads, SimJob::run);
             assert_eq!(serial.len(), pooled.len());
             for (a, b) in serial.iter().zip(&pooled) {
                 assert_eq!(a.nfs, b.nfs, "threads={threads}");
@@ -436,7 +347,7 @@ mod tests {
         let short = job(2, 1);
         let serial_long = job(1, 4).run();
         let serial_short = job(2, 1).run();
-        let out = run_jobs_on(vec![long, short], 2);
+        let out = par_map_on(vec![long, short], 2, SimJob::run);
         assert_eq!(out[0].nfs, serial_long.nfs);
         assert_eq!(out[1].nfs, serial_short.nfs);
     }
@@ -453,7 +364,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_fine() {
-        assert!(run_jobs(Vec::new()).is_empty());
+        assert!(execute(Exec::Parallel, Vec::new()).is_empty());
         assert!(par_map_on(Vec::<u32>::new(), 8, |x| x).is_empty());
     }
 
@@ -471,14 +382,13 @@ mod tests {
 
     #[test]
     fn sink_on_jobs_match_sink_off_bitwise() {
-        use snic_telemetry::Recorder;
         let recorder = Arc::new(Recorder::new());
         let with_sink: Vec<SimJob> = (0..6)
             .map(|s| job(s, 2).with_sink(Arc::clone(&recorder) as Arc<dyn TelemetrySink>))
             .collect();
         let without: Vec<SimJob> = (0..6).map(|s| job(s, 2)).collect();
-        let on = run_jobs_on(with_sink, 3);
-        let off = run_jobs_serial(without);
+        let on = par_map_on(with_sink, 3, SimJob::run);
+        let off = execute(Exec::Serial, without);
         for (a, b) in on.iter().zip(&off) {
             assert_eq!(a.nfs, b.nfs, "sink-on parallel must equal sink-off serial");
         }
@@ -498,52 +408,47 @@ mod tests {
         assert!(!shardable(&half), "partitioned L2 alone is not enough");
     }
 
+    fn synth(n: usize, store_every: u32, events: u64, seed: u64) -> Vec<EventSource> {
+        (0..n)
+            .map(|i| SyntheticStream::new(1 << 18, 6, store_every, events, seed + i as u64).into())
+            .collect()
+    }
+
     #[test]
     fn sharded_run_matches_serial_bitwise() {
-        let mk = |n: usize| -> Vec<SendStream> {
-            (0..n)
-                .map(|i| SyntheticStream::new(1 << 18, 6, 3, 3_000, 99 + i as u64).into())
-                .collect()
-        };
         let cfg = MachineConfig::snic(5, 1 << 20);
         let warm = vec![400u64; 5];
-        let serial = run_colocated_warm(&cfg, mk(5), &warm);
+        let serial = run_colocated_warm(&cfg, synth(5, 3, 3_000, 99), &warm);
         for shards in [1, 2, 3, 5, 16] {
-            let sharded = run_sharded(&cfg, mk(5), &warm, shards);
+            let sharded = run_sharded(&cfg, synth(5, 3, 3_000, 99), &warm, shards);
             assert_eq!(serial.nfs, sharded.nfs, "shards={shards}");
         }
     }
 
     #[test]
     fn unshardable_configs_fall_back_to_serial() {
-        let mk = |n: usize| -> Vec<SendStream> {
-            (0..n)
-                .map(|i| SyntheticStream::new(1 << 18, 6, 0, 2_000, 7 + i as u64).into())
-                .collect()
-        };
         let cfg = MachineConfig::commodity(3, 1 << 20);
-        let serial = run_colocated_warm(&cfg, mk(3), &[]);
-        let sharded = run_sharded(&cfg, mk(3), &[], 3);
+        let serial = run_colocated_warm(&cfg, synth(3, 0, 2_000, 7), &[]);
+        let sharded = run_sharded(&cfg, synth(3, 0, 2_000, 7), &[], 3);
         assert_eq!(serial.nfs, sharded.nfs);
     }
 
     #[test]
     fn sharded_telemetry_replays_in_shard_order() {
-        use snic_telemetry::Recorder;
-        let mk = |n: usize| -> Vec<SendStream> {
-            (0..n)
-                .map(|i| SyntheticStream::new(1 << 18, 6, 3, 3_000, 42 + i as u64).into())
-                .collect()
-        };
         let cfg = MachineConfig::snic(4, 1 << 20);
-        let serial_rec = Recorder::new();
-        let serial = run_colocated_sink(&cfg, mk(4), &[], &serial_rec);
-        let shard_rec = Recorder::new();
-        let sharded = run_sharded_sink(&cfg, mk(4), &[], 2, Some(&shard_rec));
+        let recorded = |shards: usize| {
+            let rec = Arc::new(Recorder::new());
+            let out = SimJob::new(cfg.clone(), synth(4, 3, 3_000, 42))
+                .with_sink(Arc::clone(&rec) as Arc<dyn TelemetrySink>)
+                .with_shards(shards)
+                .run();
+            (out, rec.summary().render())
+        };
+        let (serial, serial_tel) = recorded(1);
+        let (sharded, sharded_tel) = recorded(2);
         assert_eq!(serial.nfs, sharded.nfs);
         assert_eq!(
-            serial_rec.summary().render(),
-            shard_rec.summary().render(),
+            serial_tel, sharded_tel,
             "telemetry must replay to an identical summary"
         );
     }
@@ -553,7 +458,7 @@ mod tests {
         let plain = job(11, 4);
         let mut cfg = MachineConfig::snic(4, 1 << 20);
         cfg.l2 = plain.cfg.l2;
-        let mk = || -> Vec<SendStream> {
+        let mk = || -> Vec<EventSource> {
             (0..4)
                 .map(|i| SyntheticStream::new(2 << 20, 8, 4, 4_000, 11 + i as u64).into())
                 .collect()
@@ -569,19 +474,12 @@ mod tests {
     }
 
     #[test]
-    fn job_spec_rebuilds_identical_runs() {
-        let spec = JobSpec::new(|| job(17, 3));
-        let first = spec.run();
-        let second = spec.run();
-        assert_eq!(first.nfs, second.nfs, "a spec must replay bit-identically");
-    }
-
-    #[test]
-    fn job_spec_streamed_sources_survive_reruns_and_sharding() {
-        // Streamed sources are consumed by running; the spec rebuilds
-        // them, and the sharded leg must match the serial leg bitwise.
-        let spec = JobSpec::new(|| {
-            let streams: Vec<SendStream> = (0..4)
+    fn rebuilt_streamed_jobs_survive_reruns_and_sharding() {
+        // Streamed sources are consumed by running; a `Fn() -> SimJob`
+        // closure rebuilds them, and every leg — rerun, sharded, pooled
+        // — must match the first serial run bitwise.
+        let mk = || {
+            let streams: Vec<EventSource> = (0..4)
                 .map(|i| {
                     snic_uarch::StreamedSource::with_chunk(
                         Box::new(SyntheticStream::new(1 << 18, 6, 3, 3_000, 21 + i as u64)),
@@ -592,17 +490,18 @@ mod tests {
                 })
                 .collect();
             SimJob::new(MachineConfig::snic(4, 1 << 20), streams).with_warmups(vec![300; 4])
-        });
-        let serial = spec.run();
+        };
+        let serial = mk().run();
+        assert_eq!(mk().run().nfs, serial.nfs, "a rebuilt job must replay");
         for shards in [2, 4] {
             assert_eq!(
                 serial.nfs,
-                spec.run_with_shards(shards).nfs,
+                mk().with_shards(shards).run().nfs,
                 "shards={shards}"
             );
         }
-        let both = run_specs(&[spec], Exec::Parallel);
-        assert_eq!(both[0].nfs, serial.nfs);
+        let pooled = execute(Exec::Parallel, vec![mk(), mk()]);
+        assert_eq!(pooled[1].nfs, serial.nfs);
     }
 
     #[test]

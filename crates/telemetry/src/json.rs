@@ -83,12 +83,21 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so without a bound a hostile document (a
+/// `snicd` request line of 200,000 `[`s) overflows the stack and aborts
+/// the process; past this depth it returns a [`JsonError`] instead.
+/// Every document the workspace writes nests a handful of levels.
+pub(crate) const MAX_JSON_DEPTH: usize = 128;
+
 /// Parse a complete JSON document. Trailing whitespace is allowed,
-/// trailing garbage is an error.
+/// trailing garbage is an error, and so is nesting arrays and objects
+/// more than 128 levels deep.
 pub fn parse_json(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -102,6 +111,8 @@ pub fn parse_json(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -130,8 +141,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(self.err("nesting deeper than 128 levels"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal(b"true", Json::Bool(true)),
             Some(b'f') => self.literal(b"false", Json::Bool(false)),
@@ -312,6 +334,18 @@ mod tests {
         assert!(parse_json("{} x").is_err());
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = parse_json(&deep).expect_err("must refuse");
+        assert_eq!(err.at, MAX_JSON_DEPTH);
+        assert!(parse_json(&"{\"a\":".repeat(200_000)).is_err());
+        // The limit itself is legal, one past it is not.
+        let at = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse_json(&at(MAX_JSON_DEPTH)).is_ok());
+        assert!(parse_json(&at(MAX_JSON_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -66,7 +66,7 @@ use snic_telemetry::{metrics, Histogram, NullSink, TelemetrySink};
 use crate::bus::{BusArbiter, BusKind};
 use crate::cache::{Cache, CacheConfig, Partition, SetMap, TAG_INVALID};
 use crate::config::MachineConfig;
-use crate::stream::{Access, AccessKind, EventSource};
+use crate::stream::{Access, EventSource};
 
 /// Events processed per bulk-L1 chunk. 256 events × 16 bytes of raw
 /// access plus the decode arrays keep a lane's working set around 9 KiB
@@ -382,8 +382,6 @@ impl PrivateL1 {
 struct Lane {
     src: EventSource,
     l1: PrivateL1,
-    /// Raw events of the current chunk.
-    raw: Box<[Access]>,
     /// Tagged addresses of the current chunk (decode pass output).
     addrs: Box<[u64]>,
     /// `prefix[k]` = instructions of chunk events `[0, k)`; the clock
@@ -418,15 +416,6 @@ impl Lane {
         Lane {
             src,
             l1: PrivateL1::new(l1),
-            raw: vec![
-                Access {
-                    insns: 1,
-                    addr: 0,
-                    kind: AccessKind::Load,
-                };
-                CHUNK
-            ]
-            .into_boxed_slice(),
             addrs: vec![0; CHUNK].into_boxed_slice(),
             prefix: vec![0; CHUNK + 1].into_boxed_slice(),
             miss_pos: vec![0; CHUNK].into_boxed_slice(),
@@ -458,7 +447,6 @@ impl Lane {
         };
         let Lane {
             src,
-            raw,
             addrs,
             prefix,
             l1,
@@ -472,19 +460,12 @@ impl Lane {
             ..
         } = self;
         // Pass 1 — decode: prefix-sum the instruction counts and tag
-        // every address with the lane's address-space id. Replay-backed
-        // sources lend their backing store directly (zero-copy); the
-        // rest synthesize into the chunk buffer first. Note a borrowed
-        // run may be *short* without meaning end-of-stream (shared
-        // recordings stop at each pass boundary) — only an empty chunk
-        // terminates the lane.
-        let events: &[Access] = match src.next_slice(cap) {
-            Some(run) => run,
-            None => {
-                let n = src.next_batch(&mut raw[..cap]);
-                &raw[..n]
-            }
-        };
+        // every address with the lane's address-space id, reading the
+        // source's lent run in place (zero-copy). Note a borrowed run
+        // may be *short* without meaning end-of-stream (shared
+        // recordings stop at each pass boundary, generators at each
+        // chunk boundary) — only an empty chunk terminates the lane.
+        let events: &[Access] = src.next_slice(cap);
         let n = events.len();
         let t = *tenant as usize;
         prefix[0] = 0;
@@ -601,59 +582,38 @@ impl Lane {
     }
 }
 
-/// Run `streams` to exhaustion under `cfg`.
+/// Run `streams` to exhaustion under `cfg`, without telemetry, with
+/// statistics covering only events after the first `warmup_events` of
+/// each stream (an empty slice means no warmup) — mirroring §5.3's
+/// methodology ("we ran 1 billion instructions to warm
+/// microarchitectural structures like caches and branch predictors. We
+/// then collected experimental data..."). Stream `i` runs as tenant
+/// `i`.
 ///
 /// # Panics
 ///
 /// Panics if `streams` is empty, or if a partitioned configuration has
 /// fewer tenant slots than streams.
-pub fn run_colocated(cfg: &MachineConfig, streams: Vec<EventSource>) -> RunOutcome {
-    run_colocated_warm(cfg, streams, &[])
-}
-
-/// Like [`run_colocated`], but statistics only cover events after the
-/// first `warmup_events` of each stream — mirroring §5.3's methodology
-/// ("we ran 1 billion instructions to warm microarchitectural structures
-/// like caches and branch predictors. We then collected experimental
-/// data...").
 pub fn run_colocated_warm(
     cfg: &MachineConfig,
     streams: Vec<EventSource>,
     warmup_events: &[u64],
 ) -> RunOutcome {
-    run_colocated_sink(cfg, streams, warmup_events, &NullSink)
-}
-
-/// Like [`run_colocated_warm`], with telemetry.
-///
-/// The sink is a monomorphized generic: with [`NullSink`] every
-/// `if sink.enabled()` guard folds to a constant `false` and the
-/// instrumentation vanishes, so statistics are byte-identical with the
-/// sink on or off (asserted by this module's tests and by
-/// `snic-sim`/`snic-bench` determinism suites). Timestamps reported to
-/// the sink are engine cycles; domains are stream indices.
-pub fn run_colocated_sink<S: TelemetrySink + ?Sized>(
-    cfg: &MachineConfig,
-    streams: Vec<EventSource>,
-    warmup_events: &[u64],
-    sink: &S,
-) -> RunOutcome {
     let ids: Vec<u32> = (0..streams.len() as u32).collect();
-    run_colocated_ids_sink(cfg, streams, warmup_events, &ids, sink)
+    run_colocated_ids_sink(cfg, streams, warmup_events, &ids, &NullSink)
 }
 
 /// Run a colocation (or one shard of one) with explicit global tenant
-/// ids.
+/// ids and telemetry.
 ///
 /// `tenant_ids[i]` is stream `i`'s identity everywhere an identity
 /// matters: its L2 way slice / SecDCP slot, its temporal-bus epoch
-/// domain, its address-space tag, and its telemetry domain. The plain
-/// entry points pass `0..n`, which reproduces the historical behaviour
-/// exactly; shard drivers pass the subset of global ids the shard owns,
-/// and — because every structure keyed by tenant id behaves identically
-/// whether or not *other* tenants are simulated alongside (private way
-/// slices, pure-function epoch grants) — each tenant's results are
-/// bit-identical to the full serial run.
+/// domain, its address-space tag, and its telemetry domain. A whole
+/// colocation passes `0..n`; shard drivers pass the subset of global
+/// ids the shard owns, and — because every structure keyed by tenant id
+/// behaves identically whether or not *other* tenants are simulated
+/// alongside (private way slices, pure-function epoch grants) — each
+/// tenant's results are bit-identical to the full serial run.
 ///
 /// # Panics
 ///
@@ -663,6 +623,13 @@ pub fn run_colocated_sink<S: TelemetrySink + ?Sized>(
 /// tenant order for shard merges to be deterministic), or if any id has
 /// no slot in the configured partition/bus schedule (see
 /// [`Cache::domains`]).
+///
+/// The sink is a monomorphized generic: with [`NullSink`] every
+/// `if sink.enabled()` guard folds to a constant `false` and the
+/// instrumentation vanishes, so statistics are byte-identical with the
+/// sink on or off (asserted by this module's tests and by
+/// `snic-sim`/`snic-bench` determinism suites). Timestamps reported to
+/// the sink are engine cycles; domains are tenant ids.
 pub fn run_colocated_ids_sink<S: TelemetrySink + ?Sized>(
     cfg: &MachineConfig,
     streams: Vec<EventSource>,
@@ -819,7 +786,7 @@ mod tests {
     fn tiny_working_set_achieves_high_ipc() {
         // Everything fits in L1: IPC should approach 1.
         let cfg = MachineConfig::commodity(1, 4 << 20);
-        let out = run_colocated(&cfg, streams(1, 4 << 10, 50_000));
+        let out = run_colocated_warm(&cfg, streams(1, 4 << 10, 50_000), &[]);
         assert!(out.nfs[0].ipc() > 0.95, "ipc = {}", out.nfs[0].ipc());
     }
 
@@ -827,7 +794,7 @@ mod tests {
     fn dram_bound_working_set_crushes_ipc() {
         let cfg = MachineConfig::commodity(1, 256 << 10);
         // Working set far beyond L2.
-        let out = run_colocated(&cfg, streams(1, 64 << 20, 20_000));
+        let out = run_colocated_warm(&cfg, streams(1, 64 << 20, 20_000), &[]);
         assert!(out.nfs[0].ipc() < 0.3, "ipc = {}", out.nfs[0].ipc());
         assert!(out.nfs[0].l2_misses > out.nfs[0].l2_hits);
     }
@@ -836,13 +803,15 @@ mod tests {
     fn partitioning_degrades_ipc_when_hot_set_marginal() {
         // Hot set ~2 MB: fits a 4 MB shared L2 shared by 2 NFs poorly
         // but fits even worse in a hard 1/2 slice.
-        let base = run_colocated(
+        let base = run_colocated_warm(
             &MachineConfig::commodity(2, 4 << 20),
             streams(2, 3 << 20, 60_000),
+            &[],
         );
-        let snic = run_colocated(
+        let snic = run_colocated_warm(
             &MachineConfig::snic(2, 4 << 20),
             streams(2, 3 << 20, 60_000),
+            &[],
         );
         let deg = snic.ipc_degradation_vs(&base, 0);
         assert!(deg > 0.0, "expected positive degradation, got {deg}");
@@ -858,8 +827,8 @@ mod tests {
         let idle = EventSource::from(SyntheticStream::new(64, 1, 0, 1, 1));
         let attacker = EventSource::from(SyntheticStream::new(32 << 20, 1, 1, 120_000, 9));
 
-        let quiet = run_colocated(&cfg, vec![victim(), idle]);
-        let noisy = run_colocated(&cfg, vec![victim(), attacker]);
+        let quiet = run_colocated_warm(&cfg, vec![victim(), idle], &[]);
+        let noisy = run_colocated_warm(&cfg, vec![victim(), attacker], &[]);
         assert_eq!(
             quiet.nfs[0].cycles, noisy.nfs[0].cycles,
             "S-NIC victim timing must not depend on co-tenant activity"
@@ -874,8 +843,8 @@ mod tests {
         let idle = EventSource::from(SyntheticStream::new(64, 1, 0, 1, 1));
         let attacker = EventSource::from(SyntheticStream::new(32 << 20, 1, 1, 120_000, 9));
 
-        let quiet = run_colocated(&cfg, vec![victim(), idle]);
-        let noisy = run_colocated(&cfg, vec![victim(), attacker]);
+        let quiet = run_colocated_warm(&cfg, vec![victim(), idle], &[]);
+        let noisy = run_colocated_warm(&cfg, vec![victim(), attacker], &[]);
         assert_ne!(
             quiet.nfs[0].cycles, noisy.nfs[0].cycles,
             "commodity victim timing should leak co-tenant activity"
@@ -885,8 +854,8 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let cfg = MachineConfig::snic(4, 4 << 20);
-        let a = run_colocated(&cfg, streams(4, 1 << 20, 10_000));
-        let b = run_colocated(&cfg, streams(4, 1 << 20, 10_000));
+        let a = run_colocated_warm(&cfg, streams(4, 1 << 20, 10_000), &[]);
+        let b = run_colocated_warm(&cfg, streams(4, 1 << 20, 10_000), &[]);
         for i in 0..4 {
             assert_eq!(a.nfs[i], b.nfs[i]);
         }
@@ -895,7 +864,7 @@ mod tests {
     #[test]
     fn stats_accounting_consistent() {
         let cfg = MachineConfig::commodity(2, 1 << 20);
-        let out = run_colocated(&cfg, streams(2, 8 << 20, 5_000));
+        let out = run_colocated_warm(&cfg, streams(2, 8 << 20, 5_000), &[]);
         for s in &out.nfs {
             assert_eq!(s.l1_hits + s.l1_misses, 5_000);
             assert_eq!(s.l2_hits + s.l2_misses, s.l1_misses);
@@ -907,44 +876,50 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one stream")]
     fn empty_streams_panics() {
-        let _ = run_colocated(&MachineConfig::commodity(1, 1 << 20), Vec::new());
+        let _ = run_colocated_warm(&MachineConfig::commodity(1, 1 << 20), Vec::new(), &[]);
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "would alias another NF's cache lines")]
     fn out_of_range_address_rejected() {
-        use crate::stream::ReplayStream;
+        use crate::stream::{AccessKind, SharedReplayStream};
         let cfg = MachineConfig::commodity(1, 1 << 20);
-        let s = vec![EventSource::from(ReplayStream::new(vec![Access {
-            insns: 1,
-            addr: 1u64 << NF_ADDR_BITS,
-            kind: AccessKind::Load,
-        }]))];
-        let _ = run_colocated(&cfg, s);
+        let s = vec![EventSource::from(SharedReplayStream::new(
+            vec![Access {
+                insns: 1,
+                addr: 1u64 << NF_ADDR_BITS,
+                kind: AccessKind::Load,
+            }]
+            .into(),
+        ))];
+        let _ = run_colocated_warm(&cfg, s, &[]);
     }
 
     #[test]
     fn boundary_address_accepted_and_isolated() {
         // The largest legal address still tags into the owner's own
         // range: two NFs touching it must not share a cache line.
-        use crate::stream::ReplayStream;
+        use crate::stream::{AccessKind, SharedReplayStream};
         let top = (1u64 << NF_ADDR_BITS) - 64;
         let mk = || {
             (0..2)
                 .map(|_| {
-                    EventSource::from(ReplayStream::new(vec![
-                        Access {
-                            insns: 1,
-                            addr: top,
-                            kind: AccessKind::Load,
-                        };
-                        2
-                    ]))
+                    EventSource::from(SharedReplayStream::new(
+                        vec![
+                            Access {
+                                insns: 1,
+                                addr: top,
+                                kind: AccessKind::Load,
+                            };
+                            2
+                        ]
+                        .into(),
+                    ))
                 })
                 .collect::<Vec<_>>()
         };
-        let out = run_colocated(&MachineConfig::commodity(2, 1 << 20), mk());
+        let out = run_colocated_warm(&MachineConfig::commodity(2, 1 << 20), mk(), &[]);
         // Proper tagging: both NFs cold-miss the shared L2 on their
         // first touch. Truncation aliasing would let the second NF hit
         // the first NF's line instead.
@@ -970,7 +945,7 @@ mod tests {
                 5,
             ))]
         };
-        let cold = run_colocated(&cfg, mk());
+        let cold = run_colocated_warm(&cfg, mk(), &[]);
         let warm = run_colocated_warm(&cfg, mk(), &[20_000]);
         assert!(cold.nfs[0].l1_misses > 0);
         assert_eq!(
@@ -999,9 +974,9 @@ mod tests {
     fn sink_on_stats_equal_sink_off() {
         use snic_telemetry::Recorder;
         let cfg = MachineConfig::commodity(2, 1 << 20);
-        let off = run_colocated(&cfg, streams(2, 8 << 20, 5_000));
+        let off = run_colocated_warm(&cfg, streams(2, 8 << 20, 5_000), &[]);
         let recorder = Recorder::new();
-        let on = run_colocated_sink(&cfg, streams(2, 8 << 20, 5_000), &[], &recorder);
+        let on = run_colocated_ids_sink(&cfg, streams(2, 8 << 20, 5_000), &[], &[0, 1], &recorder);
         assert_eq!(on.nfs, off.nfs, "telemetry must not perturb the simulation");
 
         // The recorded aggregates match the returned statistics.
@@ -1023,13 +998,15 @@ mod tests {
         // thinner slices → more degradation (Figure 5b's trend).
         let ws = 2 << 20;
         let deg_at = |n: usize| {
-            let base = run_colocated(
+            let base = run_colocated_warm(
                 &MachineConfig::commodity(n as u32, 4 << 20),
                 streams(n, ws, 20_000),
+                &[],
             );
-            let snic = run_colocated(
+            let snic = run_colocated_warm(
                 &MachineConfig::snic(n as u32, 4 << 20),
                 streams(n, ws, 20_000),
+                &[],
             );
             let mut degs: Vec<f64> = (0..n).map(|i| snic.ipc_degradation_vs(&base, i)).collect();
             degs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -1047,8 +1024,7 @@ mod tests {
     fn matches_reference_engine_on_all_personalities() {
         // Quick in-module guard; the proptest version lives in
         // tests/engine_differential.rs.
-        use crate::reference::run_reference_sink;
-        use snic_telemetry::NullSink;
+        use crate::reference::{run_reference_observed, NullObserver};
         for cfg in [
             MachineConfig::commodity(3, 512 << 10),
             MachineConfig::snic(3, 512 << 10),
@@ -1056,7 +1032,13 @@ mod tests {
         ] {
             let warm = [500u64, 0, 1_000];
             let fast = run_colocated_warm(&cfg, streams(3, 1 << 20, 8_000), &warm);
-            let slow = run_reference_sink(&cfg, streams(3, 1 << 20, 8_000), &warm, &NullSink);
+            let slow = run_reference_observed(
+                &cfg,
+                streams(3, 1 << 20, 8_000),
+                &warm,
+                &NullSink,
+                &mut NullObserver,
+            );
             assert_eq!(fast.nfs, slow.nfs, "engines diverged under {cfg:?}");
         }
     }
@@ -1119,6 +1101,6 @@ mod tests {
     #[should_panic(expected = "more streams than cache partitions")]
     fn more_streams_than_partitions_rejected() {
         let cfg = MachineConfig::snic(2, 1 << 20);
-        let _ = run_colocated(&cfg, streams(3, 4 << 10, 10));
+        let _ = run_colocated_warm(&cfg, streams(3, 4 << 10, 10), &[]);
     }
 }

@@ -14,11 +14,12 @@
 //! trace linters and the blast-radius perturbations distinguish reads
 //! from writes; only the *timing* model treats them uniformly.
 //!
-//! Streams reach the engine as [`EventSource`] values — a closed enum
-//! over the three concrete stream types (plus a boxed escape hatch) —
-//! so the hot loop dispatches on an enum tag instead of a vtable, and
-//! pulls events in batches via [`AccessStream::next_batch`] rather than
-//! one virtual call per event.
+//! Streams reach the engine as [`EventSource`] values, a closed enum
+//! over two backends: a shared recording replayed from an `Arc`
+//! ([`SharedReplayStream`]) and a chunk-buffered generator
+//! ([`StreamedSource`] over any [`TraceSource`]). Both lend their
+//! events as borrowed slices ([`EventSource::next_slice`]), so the hot
+//! loop dispatches on an enum tag and never copies an event.
 
 /// Load or store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,11 +54,11 @@ pub struct Access {
 /// warm-then-measure pattern of the figure sweeps becomes a rewind at
 /// the pass boundary instead of a second materialized copy).
 ///
-/// The contract mirrors [`AccessStream::next_batch`]: a partial fill is
-/// legal only at end of sequence, and a zero fill means the current
-/// pass is exhausted. After `rewind`, the source must reproduce its
-/// event sequence bit-identically — that is what lets a streamed run
-/// replace a materialized `Arc<[Access]>` under every golden snapshot.
+/// A partial fill is legal only at end of sequence, and a zero fill
+/// means the current pass is exhausted. After `rewind`, the source must
+/// reproduce its event sequence bit-identically — that is what lets a
+/// streamed run replace a materialized `Arc<[Access]>` under every
+/// golden snapshot.
 pub trait TraceSource: Send {
     /// Fill `out` with the next events of the sequence, returning how
     /// many were written; 0 exactly when the sequence is exhausted.
@@ -70,8 +71,7 @@ pub trait TraceSource: Send {
 
 /// Adapts a [`TraceSource`] generator to the engine's [`EventSource`]
 /// interface: an internal chunk buffer is refilled from the generator
-/// on demand, and the engine borrows runs straight out of that buffer
-/// (the same zero-copy `next_slice` path replay-backed sources take).
+/// on demand, and the engine borrows runs straight out of that buffer.
 ///
 /// `passes > 1` replays the generated sequence back to back by
 /// rewinding the generator at each pass boundary — the streaming
@@ -85,7 +85,6 @@ pub struct StreamedSource {
     /// Events valid in `buf`.
     hi: usize,
     passes_left: u32,
-    passes: u32,
 }
 
 /// Default chunk size of a [`StreamedSource`]: large enough that the
@@ -124,7 +123,6 @@ impl StreamedSource {
             lo: 0,
             hi: 0,
             passes_left: passes,
-            passes,
         }
     }
 
@@ -152,40 +150,6 @@ impl StreamedSource {
         }
         true
     }
-
-    /// Restart the whole stream: generator rewound, buffer dropped,
-    /// pass budget restored.
-    pub fn rewind(&mut self) {
-        self.src.rewind();
-        self.lo = 0;
-        self.hi = 0;
-        self.passes_left = self.passes;
-    }
-}
-
-impl AccessStream for StreamedSource {
-    fn next_access(&mut self) -> Option<Access> {
-        if !self.ensure() {
-            return None;
-        }
-        let a = self.buf[self.lo];
-        self.lo += 1;
-        Some(a)
-    }
-
-    fn next_batch(&mut self, out: &mut [Access]) -> usize {
-        let mut n = 0;
-        while n < out.len() {
-            if !self.ensure() {
-                break;
-            }
-            let take = (out.len() - n).min(self.hi - self.lo);
-            out[n..n + take].copy_from_slice(&self.buf[self.lo..self.lo + take]);
-            self.lo += take;
-            n += take;
-        }
-        n
-    }
 }
 
 impl std::fmt::Debug for StreamedSource {
@@ -195,70 +159,6 @@ impl std::fmt::Debug for StreamedSource {
             .field("buffered", &(self.hi - self.lo))
             .field("passes_left", &self.passes_left)
             .finish_non_exhaustive()
-    }
-}
-
-/// A source of reference-stream events.
-pub trait AccessStream {
-    /// Produce the next event, or `None` when the workload is exhausted.
-    fn next_access(&mut self) -> Option<Access>;
-
-    /// Fill `out` with as many events as are available, returning how
-    /// many were written. Returns 0 exactly when the stream is
-    /// exhausted (partial fills are allowed only at end of stream, so a
-    /// short count means "almost done", never "try again").
-    ///
-    /// The default implementation loops [`AccessStream::next_access`];
-    /// replay streams override it with bulk copies so the engine can
-    /// refill a stack buffer at memcpy speed.
-    fn next_batch(&mut self, out: &mut [Access]) -> usize {
-        let mut n = 0;
-        while n < out.len() {
-            match self.next_access() {
-                Some(a) => {
-                    out[n] = a;
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-}
-
-/// Replays a pre-recorded vector of accesses.
-#[derive(Debug, Clone)]
-pub struct ReplayStream {
-    accesses: Vec<Access>,
-    pos: usize,
-}
-
-impl ReplayStream {
-    /// Wrap a recorded access vector.
-    pub fn new(accesses: Vec<Access>) -> ReplayStream {
-        ReplayStream { accesses, pos: 0 }
-    }
-
-    /// Number of events remaining.
-    pub fn remaining(&self) -> usize {
-        self.accesses.len() - self.pos
-    }
-}
-
-impl AccessStream for ReplayStream {
-    fn next_access(&mut self) -> Option<Access> {
-        let a = self.accesses.get(self.pos).copied();
-        if a.is_some() {
-            self.pos += 1;
-        }
-        a
-    }
-
-    fn next_batch(&mut self, out: &mut [Access]) -> usize {
-        let n = out.len().min(self.accesses.len() - self.pos);
-        out[..n].copy_from_slice(&self.accesses[self.pos..self.pos + n]);
-        self.pos += n;
-        n
     }
 }
 
@@ -277,7 +177,6 @@ pub struct SharedReplayStream {
     accesses: std::sync::Arc<[Access]>,
     pos: usize,
     passes_left: u32,
-    passes: u32,
 }
 
 impl SharedReplayStream {
@@ -292,7 +191,6 @@ impl SharedReplayStream {
             accesses,
             pos: 0,
             passes_left: passes,
-            passes,
         }
     }
 
@@ -305,43 +203,11 @@ impl SharedReplayStream {
     }
 }
 
-impl AccessStream for SharedReplayStream {
-    fn next_access(&mut self) -> Option<Access> {
-        if self.accesses.is_empty() || self.passes_left == 0 {
-            return None;
-        }
-        let a = self.accesses[self.pos];
-        self.pos += 1;
-        if self.pos == self.accesses.len() {
-            self.pos = 0;
-            self.passes_left -= 1;
-        }
-        Some(a)
-    }
-
-    fn next_batch(&mut self, out: &mut [Access]) -> usize {
-        if self.accesses.is_empty() {
-            return 0;
-        }
-        let mut n = 0;
-        while n < out.len() && self.passes_left > 0 {
-            let take = (out.len() - n).min(self.accesses.len() - self.pos);
-            out[n..n + take].copy_from_slice(&self.accesses[self.pos..self.pos + take]);
-            n += take;
-            self.pos += take;
-            if self.pos == self.accesses.len() {
-                self.pos = 0;
-                self.passes_left -= 1;
-            }
-        }
-        n
-    }
-}
-
 /// A synthetic stream with a configurable working set and access mix —
 /// used for engine unit tests and for modeling the NIC OS's background
 /// activity. Addresses cycle pseudo-randomly (LCG) through `working_set`
-/// bytes.
+/// bytes. A seeded synthetic workload is trivially re-windable: reset
+/// the LCG to its seed and the identical sequence replays.
 #[derive(Debug, Clone)]
 pub struct SyntheticStream {
     working_set: u64,
@@ -381,37 +247,29 @@ impl SyntheticStream {
     }
 }
 
-impl AccessStream for SyntheticStream {
-    fn next_access(&mut self) -> Option<Access> {
-        if self.produced >= self.limit {
-            return None;
-        }
-        self.produced += 1;
-        // LCG step (Numerical Recipes constants).
-        self.state = self
-            .state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        let addr = self.state % self.working_set;
-        let kind =
-            if self.store_every > 0 && self.produced.is_multiple_of(u64::from(self.store_every)) {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-        Some(Access {
-            insns: self.insns_per_access,
-            addr,
-            kind,
-        })
-    }
-}
-
-/// A seeded synthetic workload is trivially re-windable: reset the LCG
-/// to its seed and the identical sequence replays.
 impl TraceSource for SyntheticStream {
     fn fill(&mut self, out: &mut [Access]) -> usize {
-        self.next_batch(out)
+        let n = (self.limit - self.produced).min(out.len() as u64) as usize;
+        for slot in &mut out[..n] {
+            self.produced += 1;
+            // LCG step (Numerical Recipes constants).
+            self.state = self
+                .state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let store =
+                self.store_every > 0 && self.produced.is_multiple_of(u64::from(self.store_every));
+            *slot = Access {
+                insns: self.insns_per_access,
+                addr: self.state % self.working_set,
+                kind: if store {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                },
+            };
+        }
+        n
     }
 
     fn rewind(&mut self) {
@@ -421,92 +279,29 @@ impl TraceSource for SyntheticStream {
 }
 
 /// A devirtualized stream: the closed set of event sources the engine
-/// knows how to drain without a vtable.
-///
-/// The engine's hot loop used to pay one `Box<dyn AccessStream>` call
-/// per trace event. [`EventSource`] replaces that with enum dispatch —
-/// the three concrete stream types are matched directly (and their
-/// [`AccessStream::next_batch`] bulk pulls statically resolved) — while
-/// [`EventSource::Dyn`] keeps the trait-object escape hatch for
-/// exotic callers at the old per-event cost.
+/// drains without a vtable. Both backends lend borrowed slices of their
+/// events, so the engine's bulk phase reads them in place.
+#[derive(Debug)]
 pub enum EventSource {
-    /// An owned recording ([`ReplayStream`]).
-    Replay(ReplayStream),
     /// A shared, possibly looped recording ([`SharedReplayStream`]).
     Shared(SharedReplayStream),
-    /// A seeded synthetic workload ([`SyntheticStream`]).
-    Synthetic(SyntheticStream),
     /// A chunk-buffered generator ([`StreamedSource`]) — O(chunk)
     /// resident memory, bit-identical replays via [`TraceSource::rewind`].
     Streamed(StreamedSource),
-    /// Any other stream, at one virtual call per batch element.
-    Dyn(Box<dyn AccessStream + Send>),
 }
 
 impl EventSource {
-    /// Bulk-pull into `out`; see [`AccessStream::next_batch`].
+    /// Borrow the next run of up to `max` (≥ 1) events, advancing the
+    /// cursor. A run may be *short* without meaning end of stream — a
+    /// shared recording's runs stop at each pass boundary and a
+    /// generator's at each chunk boundary, and the next call resumes
+    /// there — so only an empty run means the stream is exhausted.
     #[inline]
-    pub fn next_batch(&mut self, out: &mut [Access]) -> usize {
+    pub fn next_slice(&mut self, max: usize) -> &[Access] {
         match self {
-            EventSource::Replay(s) => s.next_batch(out),
-            EventSource::Shared(s) => s.next_batch(out),
-            EventSource::Synthetic(s) => s.next_batch(out),
-            EventSource::Streamed(s) => s.next_batch(out),
-            EventSource::Dyn(s) => s.next_batch(out),
-        }
-    }
-
-    /// Restart the source from its beginning so a second drain yields
-    /// the bit-identical event sequence — the primitive `snic-sim`'s
-    /// re-windable job specs are built on. Returns `false` for
-    /// [`EventSource::Dyn`], whose boxed stream exposes no reset hook
-    /// (callers there must rebuild the source instead).
-    pub fn rewind(&mut self) -> bool {
-        match self {
-            EventSource::Replay(s) => {
-                s.pos = 0;
-                true
-            }
-            EventSource::Shared(s) => {
-                s.pos = 0;
-                s.passes_left = s.passes;
-                true
-            }
-            EventSource::Synthetic(s) => {
-                s.state = s.seed | 1;
-                s.produced = 0;
-                true
-            }
-            EventSource::Streamed(s) => {
-                s.rewind();
-                true
-            }
-            EventSource::Dyn(_) => false,
-        }
-    }
-
-    /// Borrow the next run of up to `max` events straight out of a
-    /// replay backing store, advancing the cursor — the zero-copy
-    /// counterpart of [`EventSource::next_batch`]. Returns `None` for
-    /// sources that must synthesize events into a caller buffer
-    /// (synthetic and boxed streams); callers fall back to
-    /// `next_batch` there. An exhausted replay source returns
-    /// `Some(&[])`, and a shared recording's runs never span a pass
-    /// boundary (the next call resumes at the front), so a short run —
-    /// unlike `next_batch`'s contract — does *not* imply end of stream;
-    /// only an empty one does.
-    #[inline]
-    pub fn next_slice(&mut self, max: usize) -> Option<&[Access]> {
-        match self {
-            EventSource::Replay(s) => {
-                let n = max.min(s.accesses.len() - s.pos);
-                let lo = s.pos;
-                s.pos += n;
-                Some(&s.accesses[lo..lo + n])
-            }
             EventSource::Shared(s) => {
                 if s.passes_left == 0 || s.accesses.is_empty() {
-                    return Some(&[]);
+                    return &[];
                 }
                 let n = max.min(s.accesses.len() - s.pos);
                 let lo = s.pos;
@@ -515,19 +310,34 @@ impl EventSource {
                     s.pos = 0;
                     s.passes_left -= 1;
                 }
-                Some(&s.accesses[lo..lo + n])
+                &s.accesses[lo..lo + n]
             }
             EventSource::Streamed(s) => {
                 if !s.ensure() {
-                    return Some(&[]);
+                    return &[];
                 }
                 let n = max.min(s.hi - s.lo);
                 let lo = s.lo;
                 s.lo += n;
-                Some(&s.buf[lo..lo + n])
+                &s.buf[lo..lo + n]
             }
-            EventSource::Synthetic(_) | EventSource::Dyn(_) => None,
         }
+    }
+
+    /// Copy as many events as fit into `out`, returning how many were
+    /// written. Returns 0 exactly when the stream is exhausted: unlike
+    /// [`EventSource::next_slice`], a short count means end of stream.
+    pub fn next_batch(&mut self, out: &mut [Access]) -> usize {
+        let mut n = 0;
+        while n < out.len() {
+            let run = self.next_slice(out.len() - n);
+            if run.is_empty() {
+                break;
+            }
+            out[n..n + run.len()].copy_from_slice(run);
+            n += run.len();
+        }
+        n
     }
 
     /// Warm the host cache for the next `events` upcoming events of a
@@ -540,54 +350,18 @@ impl EventSource {
     /// loads from being elided.)
     #[inline]
     pub fn prefetch_ahead(&self, events: usize) {
-        let (accesses, pos) = match self {
-            EventSource::Replay(s) => (&s.accesses[..], s.pos),
-            EventSource::Shared(s) => (&s.accesses[..], s.pos),
-            // A streamed source's buffer is small and recently written —
-            // already cache-hot — so there is nothing useful to warm.
-            EventSource::Streamed(_) | EventSource::Synthetic(_) | EventSource::Dyn(_) => return,
+        // A streamed source's buffer is small and recently written —
+        // already cache-hot — so there is nothing useful to warm.
+        let EventSource::Shared(s) = self else {
+            return;
         };
-        let hi = accesses.len().min(pos + events);
-        let mut i = pos;
+        let hi = s.accesses.len().min(s.pos + events);
+        let mut i = s.pos;
         // One touch per 64-byte line (four 16-byte events).
         while i < hi {
-            std::hint::black_box(accesses[i].addr);
+            std::hint::black_box(s.accesses[i].addr);
             i += 4;
         }
-    }
-}
-
-impl AccessStream for EventSource {
-    fn next_access(&mut self) -> Option<Access> {
-        match self {
-            EventSource::Replay(s) => s.next_access(),
-            EventSource::Shared(s) => s.next_access(),
-            EventSource::Synthetic(s) => s.next_access(),
-            EventSource::Streamed(s) => s.next_access(),
-            EventSource::Dyn(s) => s.next_access(),
-        }
-    }
-
-    fn next_batch(&mut self, out: &mut [Access]) -> usize {
-        EventSource::next_batch(self, out)
-    }
-}
-
-impl std::fmt::Debug for EventSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EventSource::Replay(s) => f.debug_tuple("Replay").field(s).finish(),
-            EventSource::Shared(s) => f.debug_tuple("Shared").field(s).finish(),
-            EventSource::Synthetic(s) => f.debug_tuple("Synthetic").field(s).finish(),
-            EventSource::Streamed(s) => f.debug_tuple("Streamed").field(s).finish(),
-            EventSource::Dyn(_) => f.write_str("Dyn(..)"),
-        }
-    }
-}
-
-impl From<ReplayStream> for EventSource {
-    fn from(s: ReplayStream) -> EventSource {
-        EventSource::Replay(s)
     }
 }
 
@@ -597,21 +371,15 @@ impl From<SharedReplayStream> for EventSource {
     }
 }
 
-impl From<SyntheticStream> for EventSource {
-    fn from(s: SyntheticStream) -> EventSource {
-        EventSource::Synthetic(s)
-    }
-}
-
 impl From<StreamedSource> for EventSource {
     fn from(s: StreamedSource) -> EventSource {
         EventSource::Streamed(s)
     }
 }
 
-impl From<Box<dyn AccessStream + Send>> for EventSource {
-    fn from(s: Box<dyn AccessStream + Send>) -> EventSource {
-        EventSource::Dyn(s)
+impl From<SyntheticStream> for EventSource {
+    fn from(s: SyntheticStream) -> EventSource {
+        StreamedSource::new(Box::new(s)).into()
     }
 }
 
@@ -619,9 +387,58 @@ impl From<Box<dyn AccessStream + Send>> for EventSource {
 mod tests {
     use super::*;
 
-    #[test]
-    fn replay_replays_in_order() {
-        let v = vec![
+    /// Drain a stream through the zero-copy `next_slice` path.
+    fn drain_sliced(es: &mut EventSource, max: usize) -> Vec<Access> {
+        let mut v = Vec::new();
+        loop {
+            let run = es.next_slice(max);
+            if run.is_empty() {
+                return v;
+            }
+            v.extend_from_slice(run);
+        }
+    }
+
+    /// Drain a stream via `next_batch` with an awkward buffer size.
+    fn drain_batched(es: &mut EventSource, chunk: usize) -> Vec<Access> {
+        let mut v = Vec::new();
+        let mut buf = vec![
+            Access {
+                insns: 1,
+                addr: 0,
+                kind: AccessKind::Load,
+            };
+            chunk
+        ];
+        loop {
+            let n = es.next_batch(&mut buf);
+            if n == 0 {
+                return v;
+            }
+            v.extend_from_slice(&buf[..n]);
+        }
+    }
+
+    /// Drain a generator directly through `fill`, bypassing any chunk
+    /// buffer.
+    fn drain_source(src: &mut dyn TraceSource) -> Vec<Access> {
+        let mut v = Vec::new();
+        let mut buf = [Access {
+            insns: 1,
+            addr: 0,
+            kind: AccessKind::Load,
+        }; 13];
+        loop {
+            let n = src.fill(&mut buf);
+            if n == 0 {
+                return v;
+            }
+            v.extend_from_slice(&buf[..n]);
+        }
+    }
+
+    fn two() -> Vec<Access> {
+        vec![
             Access {
                 insns: 1,
                 addr: 0,
@@ -632,55 +449,30 @@ mod tests {
                 addr: 64,
                 kind: AccessKind::Store,
             },
-        ];
-        let mut s = ReplayStream::new(v.clone());
+        ]
+    }
+
+    #[test]
+    fn shared_replay_replays_in_order() {
+        let v = two();
+        let s = SharedReplayStream::new(v.clone().into());
         assert_eq!(s.remaining(), 2);
-        assert_eq!(s.next_access(), Some(v[0]));
-        assert_eq!(s.next_access(), Some(v[1]));
-        assert_eq!(s.next_access(), None);
+        let mut es = EventSource::from(s);
+        assert_eq!(drain_sliced(&mut es, 1), v);
+        assert!(es.next_slice(1).is_empty());
+        let EventSource::Shared(s) = es else {
+            unreachable!()
+        };
         assert_eq!(s.remaining(), 0);
     }
 
     #[test]
     fn synthetic_respects_limit_and_bounds() {
-        let mut s = SyntheticStream::new(4096, 5, 4, 100, 42);
-        let mut n = 0;
-        let mut stores = 0;
-        while let Some(a) = s.next_access() {
-            assert!(a.addr < 4096);
-            assert_eq!(a.insns, 5);
-            if a.kind == AccessKind::Store {
-                stores += 1;
-            }
-            n += 1;
-        }
-        assert_eq!(n, 100);
+        let all = drain_batched(&mut SyntheticStream::new(4096, 5, 4, 100, 42).into(), 7);
+        assert_eq!(all.len(), 100);
+        assert!(all.iter().all(|a| a.addr < 4096 && a.insns == 5));
+        let stores = all.iter().filter(|a| a.kind == AccessKind::Store).count();
         assert_eq!(stores, 25);
-    }
-
-    #[test]
-    fn shared_replay_matches_owned_replay() {
-        let v = vec![
-            Access {
-                insns: 1,
-                addr: 0,
-                kind: AccessKind::Load,
-            },
-            Access {
-                insns: 2,
-                addr: 64,
-                kind: AccessKind::Store,
-            },
-        ];
-        let shared: std::sync::Arc<[Access]> = v.clone().into();
-        let mut owned = ReplayStream::new(v);
-        let mut s = SharedReplayStream::new(shared);
-        assert_eq!(s.remaining(), 2);
-        while let Some(a) = owned.next_access() {
-            assert_eq!(s.next_access(), Some(a));
-        }
-        assert_eq!(s.next_access(), None);
-        assert_eq!(s.remaining(), 0);
     }
 
     #[test]
@@ -697,13 +489,9 @@ mod tests {
                 kind: AccessKind::Load,
             },
         ];
-        let shared: std::sync::Arc<[Access]> = v.clone().into();
-        let mut s = SharedReplayStream::repeated(shared, 3);
+        let s = SharedReplayStream::repeated(v.clone().into(), 3);
         assert_eq!(s.remaining(), 6);
-        let mut seen = Vec::new();
-        while let Some(a) = s.next_access() {
-            seen.push(a);
-        }
+        let seen = drain_sliced(&mut s.into(), 16);
         assert_eq!(seen.len(), 6);
         assert_eq!(&seen[..2], &v[..]);
         assert_eq!(&seen[2..4], &v[..]);
@@ -713,42 +501,12 @@ mod tests {
     #[test]
     fn empty_shared_replay_terminates() {
         let shared: std::sync::Arc<[Access]> = Vec::new().into();
-        let mut s = SharedReplayStream::repeated(shared, 1_000_000);
-        assert_eq!(s.next_access(), None);
-    }
-
-    /// Drain a stream one event at a time.
-    fn drain_single(s: &mut dyn AccessStream) -> Vec<Access> {
-        let mut v = Vec::new();
-        while let Some(a) = s.next_access() {
-            v.push(a);
-        }
-        v
-    }
-
-    /// Drain a stream via `next_batch` with an awkward buffer size.
-    fn drain_batched(s: &mut dyn AccessStream, chunk: usize) -> Vec<Access> {
-        let mut v = Vec::new();
-        let mut buf = vec![
-            Access {
-                insns: 1,
-                addr: 0,
-                kind: AccessKind::Load,
-            };
-            chunk
-        ];
-        loop {
-            let n = s.next_batch(&mut buf);
-            if n == 0 {
-                break;
-            }
-            v.extend_from_slice(&buf[..n]);
-        }
-        v
+        let mut es = EventSource::from(SharedReplayStream::repeated(shared, 1_000_000));
+        assert!(es.next_slice(16).is_empty());
     }
 
     #[test]
-    fn batched_pull_matches_single_pull_for_every_stream_type() {
+    fn batched_pull_matches_sliced_pull_for_every_backend() {
         let v: Vec<Access> = (0..97u64)
             .map(|i| Access {
                 insns: 1 + (i % 7) as u32,
@@ -760,27 +518,18 @@ mod tests {
                 },
             })
             .collect();
-        let shared: std::sync::Arc<[Access]> = v.clone().into();
+        let shared: std::sync::Arc<[Access]> = v.into();
+        let synth = || SyntheticStream::new(4096, 5, 4, 100, 42);
         for chunk in [1usize, 3, 64, 200] {
+            let mk = || SharedReplayStream::repeated(std::sync::Arc::clone(&shared), 3).into();
             assert_eq!(
-                drain_batched(&mut ReplayStream::new(v.clone()), chunk),
-                drain_single(&mut ReplayStream::new(v.clone())),
-                "replay, chunk={chunk}"
-            );
-            assert_eq!(
-                drain_batched(
-                    &mut SharedReplayStream::repeated(std::sync::Arc::clone(&shared), 3),
-                    chunk
-                ),
-                drain_single(&mut SharedReplayStream::repeated(
-                    std::sync::Arc::clone(&shared),
-                    3
-                )),
+                drain_batched(&mut mk(), chunk),
+                drain_sliced(&mut mk(), 1),
                 "shared x3, chunk={chunk}"
             );
             assert_eq!(
-                drain_batched(&mut SyntheticStream::new(4096, 5, 4, 100, 42), chunk),
-                drain_single(&mut SyntheticStream::new(4096, 5, 4, 100, 42)),
+                drain_batched(&mut synth().into(), chunk),
+                drain_source(&mut synth()),
                 "synthetic, chunk={chunk}"
             );
         }
@@ -797,29 +546,24 @@ mod tests {
                 kind: AccessKind::Load,
             })
             .collect();
-        let mut s = SharedReplayStream::repeated(v.into(), 2);
+        let mut es = EventSource::from(SharedReplayStream::repeated(v.into(), 2));
         let mut buf = [Access {
             insns: 1,
             addr: 0,
             kind: AccessKind::Load,
         }; 4];
-        assert_eq!(s.next_batch(&mut buf), 4);
-        assert_eq!(s.next_batch(&mut buf), 4);
-        assert_eq!(s.next_batch(&mut buf), 2);
-        assert_eq!(s.next_batch(&mut buf), 0);
+        assert_eq!(es.next_batch(&mut buf), 4);
+        assert_eq!(es.next_batch(&mut buf), 4);
+        assert_eq!(es.next_batch(&mut buf), 2);
+        assert_eq!(es.next_batch(&mut buf), 0);
     }
 
     #[test]
-    fn event_source_dispatches_and_is_send() {
+    fn event_source_is_send() {
         fn assert_send<T: Send>(_: &T) {}
-        let mut es = EventSource::from(SyntheticStream::new(4096, 5, 0, 10, 1));
+        let es = EventSource::from(SyntheticStream::new(4096, 5, 0, 10, 1));
         assert_send(&es);
-        let direct = drain_single(&mut SyntheticStream::new(4096, 5, 0, 10, 1));
-        assert_eq!(drain_single(&mut es), direct);
-        let boxed: Box<dyn AccessStream + Send> = Box::new(SyntheticStream::new(4096, 5, 0, 10, 1));
-        let mut dynamic = EventSource::from(boxed);
-        assert_eq!(drain_batched(&mut dynamic, 3), direct);
-        assert!(format!("{dynamic:?}").contains("Dyn"));
+        assert!(format!("{es:?}").contains("Streamed"));
     }
 
     /// The synthetic workload the streaming tests generate and compare
@@ -828,51 +572,28 @@ mod tests {
         SyntheticStream::new(1 << 16, 3, 5, 1000, 0xabc)
     }
 
-    /// Drain an [`EventSource`] through the zero-copy `next_slice`
-    /// path, falling back to `next_batch` like the engine does.
-    fn drain_sliced(es: &mut EventSource, max: usize) -> Vec<Access> {
-        let mut v = Vec::new();
-        loop {
-            match es.next_slice(max) {
-                Some([]) => break,
-                Some(run) => v.extend_from_slice(run),
-                None => {
-                    let mut buf = vec![
-                        Access {
-                            insns: 1,
-                            addr: 0,
-                            kind: AccessKind::Load,
-                        };
-                        max
-                    ];
-                    loop {
-                        let n = es.next_batch(&mut buf);
-                        if n == 0 {
-                            return v;
-                        }
-                        v.extend_from_slice(&buf[..n]);
-                    }
-                }
-            }
-        }
-        v
-    }
-
     #[test]
     fn streamed_source_matches_its_generator_for_every_chunk_size() {
-        let direct = drain_single(&mut synth());
+        let direct = drain_source(&mut synth());
         assert_eq!(direct.len(), 1000);
         for chunk in [1usize, 7, 256, 333, 4096, 10_000] {
-            let mut es = EventSource::from(StreamedSource::with_chunk(Box::new(synth()), 1, chunk));
-            assert_eq!(drain_single(&mut es), direct, "single, chunk={chunk}");
-            let mut es = EventSource::from(StreamedSource::with_chunk(Box::new(synth()), 1, chunk));
-            assert_eq!(drain_sliced(&mut es, 100), direct, "sliced, chunk={chunk}");
+            let mk = || EventSource::from(StreamedSource::with_chunk(Box::new(synth()), 1, chunk));
+            assert_eq!(
+                drain_batched(&mut mk(), 64),
+                direct,
+                "batched, chunk={chunk}"
+            );
+            assert_eq!(
+                drain_sliced(&mut mk(), 100),
+                direct,
+                "sliced, chunk={chunk}"
+            );
         }
     }
 
     #[test]
     fn streamed_repeated_matches_shared_repeated() {
-        let trace: std::sync::Arc<[Access]> = drain_single(&mut synth()).into();
+        let trace: std::sync::Arc<[Access]> = drain_source(&mut synth()).into();
         let mut shared = EventSource::from(SharedReplayStream::repeated(trace, 3));
         let mut streamed = EventSource::from(StreamedSource::with_chunk(Box::new(synth()), 3, 333));
         assert_eq!(
@@ -885,47 +606,34 @@ mod tests {
     fn empty_streamed_generator_terminates() {
         let empty = SyntheticStream::new(64, 1, 0, 0, 1);
         let mut es = EventSource::from(StreamedSource::repeated(Box::new(empty), 1_000_000));
-        assert_eq!(es.next_access(), None);
-        assert_eq!(es.next_slice(16), Some(&[][..]));
+        assert!(es.next_slice(16).is_empty());
+        assert_eq!(drain_batched(&mut es, 8), Vec::new());
     }
 
     #[test]
-    fn rewind_restores_every_rewindable_source() {
-        let trace: Vec<Access> = drain_single(&mut synth());
-        let shared: std::sync::Arc<[Access]> = trace.clone().into();
-        let mut sources: Vec<EventSource> = vec![
-            ReplayStream::new(trace).into(),
-            SharedReplayStream::repeated(shared, 2).into(),
-            synth().into(),
-            StreamedSource::with_chunk(Box::new(synth()), 2, 61).into(),
-        ];
-        for es in &mut sources {
-            let first = drain_single(es);
-            assert!(!first.is_empty());
-            assert_eq!(drain_single(es), Vec::new(), "{es:?} not exhausted");
-            assert!(es.rewind(), "{es:?} should rewind");
-            assert_eq!(drain_single(es), first, "{es:?} replay differs");
-            // Rewind is idempotent: rewinding twice (and mid-stream)
-            // still restarts from the exact beginning.
-            assert!(es.rewind());
-            let _ = es.next_access();
-            assert!(es.rewind());
-            assert_eq!(drain_single(es), first, "{es:?} second rewind differs");
-        }
-        let boxed: Box<dyn AccessStream + Send> = Box::new(synth());
-        let mut dynamic = EventSource::from(boxed);
-        assert!(!dynamic.rewind(), "Dyn cannot rewind");
+    fn synthetic_rewind_replays_identically() {
+        let mut s = synth();
+        let first = drain_source(&mut s);
+        assert!(!first.is_empty());
+        assert_eq!(drain_source(&mut s), Vec::new(), "exhausted");
+        s.rewind();
+        assert_eq!(drain_source(&mut s), first, "replay differs");
+        // Rewind is idempotent: rewinding twice (and mid-stream) still
+        // restarts from the exact beginning.
+        s.rewind();
+        let mut one = [first[0]; 1];
+        assert_eq!(s.fill(&mut one), 1);
+        s.rewind();
+        assert_eq!(drain_source(&mut s), first, "second rewind differs");
     }
 
     #[test]
     fn synthetic_deterministic_per_seed() {
-        let collect = |seed| {
-            let mut s = SyntheticStream::new(1 << 20, 3, 0, 50, seed);
-            let mut v = Vec::new();
-            while let Some(a) = s.next_access() {
-                v.push(a.addr);
-            }
-            v
+        let collect = |seed| -> Vec<u64> {
+            drain_source(&mut SyntheticStream::new(1 << 20, 3, 0, 50, seed))
+                .iter()
+                .map(|a| a.addr)
+                .collect()
         };
         assert_eq!(collect(7), collect(7));
         assert_ne!(collect(7), collect(8));

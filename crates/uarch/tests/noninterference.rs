@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use snic_uarch::config::MachineConfig;
-use snic_uarch::engine::run_colocated;
+use snic_uarch::engine::run_colocated_warm;
 use snic_uarch::stream::{EventSource, SyntheticStream};
 
 fn streams(
@@ -34,8 +34,8 @@ proptest! {
     ) {
         let cfg = MachineConfig::snic(2, 2 << 20);
         let victim = (v_ws.max(64), v_insns, 4u32, 8_000u64, v_seed);
-        let run1 = run_colocated(&cfg, streams(victim, (a1_ws.max(64), 1, 1, a1_events.max(1), a1_seed)));
-        let run2 = run_colocated(&cfg, streams(victim, (a2_ws.max(64), 1, 1, a2_events.max(1), a2_seed)));
+        let run1 = run_colocated_warm(&cfg, streams(victim, (a1_ws.max(64), 1, 1, a1_events.max(1), a1_seed)), &[]);
+        let run2 = run_colocated_warm(&cfg, streams(victim, (a2_ws.max(64), 1, 1, a2_events.max(1), a2_seed)), &[]);
         prop_assert_eq!(run1.nfs[0].cycles, run2.nfs[0].cycles,
             "victim cycles must not depend on attacker behaviour");
         prop_assert_eq!(run1.nfs[0].l2_misses, run2.nfs[0].l2_misses);
@@ -50,7 +50,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = MachineConfig::commodity(2, 1 << 20);
-        let out = run_colocated(&cfg, streams((ws, insns, 3, events, seed), (ws, insns, 3, events, seed ^ 1)));
+        let out = run_colocated_warm(&cfg, streams((ws, insns, 3, events, seed), (ws, insns, 3, events, seed ^ 1)), &[]);
         for nf in &out.nfs {
             let ipc = nf.ipc();
             prop_assert!(ipc > 0.0 && ipc <= 1.0, "ipc {ipc}");
@@ -66,8 +66,8 @@ proptest! {
         // Degradation can be slightly negative (partitioning shields a
         // tenant from a thrashing neighbor) but must stay in a sane band.
         let mk = |seed2: u64| streams((ws, 8, 4, 10_000, seed), (8 << 20, 1, 1, 40_000, seed2));
-        let base = run_colocated(&MachineConfig::commodity(2, 4 << 20), mk(3));
-        let snic = run_colocated(&MachineConfig::snic(2, 4 << 20), mk(3));
+        let base = run_colocated_warm(&MachineConfig::commodity(2, 4 << 20), mk(3), &[]);
+        let snic = run_colocated_warm(&MachineConfig::snic(2, 4 << 20), mk(3), &[]);
         let deg = snic.ipc_degradation_vs(&base, 0);
         prop_assert!(deg > -50.0 && deg < 90.0, "degradation {deg}%");
     }

@@ -19,8 +19,8 @@ use snic::trace::{IctfConfig, IctfLikeTrace};
 use snic::types::packet::PacketBuilder;
 use snic::types::{ByteSize, CoreId, NfId, Protocol};
 use snic::uarch::config::MachineConfig;
-use snic::uarch::engine::run_colocated;
-use snic::uarch::stream::{EventSource, ReplayStream, SyntheticStream};
+use snic::uarch::engine::run_colocated_warm;
+use snic::uarch::stream::{Access, EventSource, SharedReplayStream, SyntheticStream};
 
 fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
@@ -73,14 +73,14 @@ fn main() {
         ..IctfConfig::default()
     });
     let packets: Vec<_> = (0..4000).map(|_| trace.next_packet()).collect();
-    let fw_stream = record_stream(fw.as_mut(), &packets);
+    let fw_stream: std::sync::Arc<[Access]> = record_stream(fw.as_mut(), &packets).into();
 
     let cfg = MachineConfig::snic(2, 4 << 20);
-    let victim = || EventSource::from(ReplayStream::new(fw_stream.clone()));
+    let victim = || EventSource::from(SharedReplayStream::new(fw_stream.clone()));
     let idle = EventSource::from(SyntheticStream::new(64, 1, 0, 1, 1));
     let hostile = EventSource::from(SyntheticStream::new(64 << 20, 1, 1, 500_000, 666));
-    let quiet = run_colocated(&cfg, vec![victim(), idle]);
-    let noisy = run_colocated(&cfg, vec![victim(), hostile]);
+    let quiet = run_colocated_warm(&cfg, vec![victim(), idle], &[]);
+    let noisy = run_colocated_warm(&cfg, vec![victim(), hostile], &[]);
     println!(
         "victim firewall cycles: {} (idle neighbor) vs {} (hostile neighbor)",
         quiet.nfs[0].cycles, noisy.nfs[0].cycles
@@ -91,11 +91,16 @@ fn main() {
     );
 
     // The price: IPC vs an unpartitioned commodity NIC.
-    let base = run_colocated(
+    let base = run_colocated_warm(
         &MachineConfig::commodity(2, 4 << 20),
         vec![victim(), victim()],
+        &[],
     );
-    let snic = run_colocated(&MachineConfig::snic(2, 4 << 20), vec![victim(), victim()]);
+    let snic = run_colocated_warm(
+        &MachineConfig::snic(2, 4 << 20),
+        vec![victim(), victim()],
+        &[],
+    );
     println!(
         "firewall IPC: commodity {:.4}, S-NIC {:.4} ({:.2}% degradation — paper reports <1.7% worst case at 4 NFs)",
         base.nfs[0].ipc(),

@@ -81,6 +81,19 @@ cargo test -q -p snic-uarch --test cache_differential
 cargo test -q -p snic-uarch --test engine_differential
 cargo test -q -p snic-bench --test shard_determinism
 
+# Streaming and pool differentials: a streamed colocation (NF generators
+# and the synthetic workload) must match its materialized replay
+# bit-for-bit, and serial, pooled and sharded execution of the same jobs
+# must agree — the single SimJob run path every sweep goes through.
+echo "==> streaming + parallel differentials"
+cargo test -q -p snic-bench --test streaming_differential --test parallel_determinism
+
+# The benchmark (perfbench/, its own workspace) pins part of the public
+# API of snic-uarch, snic-sim and snic-bench; building and testing it
+# here catches a break of that API on every lint run.
+echo "==> benchmark build + tests (perfbench)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Telemetry overhead gate: recording the fig5 smoke sweep must stay
 # within SNIC_TELEMETRY_BUDGET_PCT (default 10) percent wall clock of
 # the sink-off run, with bit-identical outcomes.

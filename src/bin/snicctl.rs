@@ -442,8 +442,8 @@ fn trace_main(args: &[String]) -> Result<String, String> {
                 // sharded before the big run's digest means anything.
                 let specs = colo::tenant_mix(6, seed, 60_000, false);
                 let spec = colo::colo_spec(&scale, &specs, colo::many_tenant_snic(6, 1 << 20), 1);
-                let serial = spec.run();
-                let sharded = spec.run_with_shards(3);
+                let serial = spec().run();
+                let sharded = spec().with_shards(3).run();
                 if serial.nfs != sharded.nfs {
                     return Err("trace gate: serial and sharded streamed runs diverged".into());
                 }

@@ -7,7 +7,7 @@ use snic::types::packet::PacketBuilder;
 use snic::types::{NfId, Picos, Protocol};
 use snic::uarch::cache::{Cache, CacheConfig, Partition};
 use snic::uarch::config::MachineConfig;
-use snic::uarch::engine::run_colocated;
+use snic::uarch::engine::run_colocated_warm;
 use snic::uarch::stream::{EventSource, SyntheticStream};
 
 #[test]
@@ -60,8 +60,8 @@ fn secdcp_allows_asymmetric_allocations() {
 
     let static_cfg = MachineConfig::snic(2, 2 << 20);
     let secdcp_cfg = MachineConfig::snic_secdcp(vec![14, 2], 2 << 20);
-    let static_run = run_colocated(&static_cfg, vec![heavy(), light()]);
-    let secdcp_run = run_colocated(&secdcp_cfg, vec![heavy(), light()]);
+    let static_run = run_colocated_warm(&static_cfg, vec![heavy(), light()], &[]);
+    let secdcp_run = run_colocated_warm(&secdcp_cfg, vec![heavy(), light()], &[]);
     assert!(
         secdcp_run.nfs[0].l2_misses <= static_run.nfs[0].l2_misses,
         "14/16 ways should not miss more than 8/16: {} vs {}",

@@ -11,10 +11,11 @@
 
 use snic::leakage::channel::{machine_config, receiver_stream, sender_stream};
 use snic::leakage::{payload_bits, Channel, ChannelFamily, Confusion, Geometry, Mode};
+use snic::telemetry::NullSink;
 use snic::types::{AccelKind, NfId};
 use snic::uarch::bus::BusKind;
-use snic::uarch::run_reference_traced;
-use snic::uarch::stream::{EventSource, ReplayStream};
+use snic::uarch::stream::{Access, SharedReplayStream};
+use snic::uarch::{run_reference_observed, MachineConfig, RecordedTrace};
 use snic::verify::spec::{BusSpec, DeviceSpec, EnforcementMode};
 use snic::verify::trace::{TraceBundle, TraceLinter};
 
@@ -57,14 +58,26 @@ fn linter_for(mode: Mode) -> TraceLinter {
     TraceLinter::new(&spec, domains).with_cache(cfg.l2, cfg.l2_partition.clone())
 }
 
+/// Run receiver and sender colocated on the reference engine and
+/// capture every shared-L2 access and bus grant for Pass 2.
+fn traced(cfg: &MachineConfig, receiver: Vec<Access>, sender: Vec<Access>) -> RecordedTrace {
+    let streams = vec![
+        SharedReplayStream::new(receiver.into()).into(),
+        SharedReplayStream::new(sender.into()).into(),
+    ];
+    let mut trace = RecordedTrace::default();
+    run_reference_observed(cfg, streams, &[], &NullSink, &mut trace);
+    trace
+}
+
 /// Record the colocated bit-1 run of `family` under `mode` and lint it.
 fn lint_bit_one(family: ChannelFamily, mode: Mode) -> Vec<snic::verify::report::Finding> {
     let cfg = machine_config(GEOM, EPOCH, mode);
-    let streams = vec![
-        EventSource::Replay(ReplayStream::new(receiver_stream(family, GEOM))),
-        EventSource::Replay(ReplayStream::new(sender_stream(family, true, GEOM))),
-    ];
-    let (_, trace) = run_reference_traced(&cfg, streams);
+    let trace = traced(
+        &cfg,
+        receiver_stream(family, GEOM),
+        sender_stream(family, true, GEOM),
+    );
     linter_for(mode).lint(&TraceBundle::from_uarch(&trace))
 }
 
@@ -104,11 +117,11 @@ fn snic_points_lint_clean_for_both_payloads() {
         );
         for bit in [false, true] {
             let cfg = machine_config(GEOM, EPOCH, Mode::Snic);
-            let streams = vec![
-                EventSource::Replay(ReplayStream::new(receiver_stream(family, GEOM))),
-                EventSource::Replay(ReplayStream::new(sender_stream(family, bit, GEOM))),
-            ];
-            let (_, trace) = run_reference_traced(&cfg, streams);
+            let trace = traced(
+                &cfg,
+                receiver_stream(family, GEOM),
+                sender_stream(family, bit, GEOM),
+            );
             let findings = linter_for(Mode::Snic).lint(&TraceBundle::from_uarch(&trace));
             assert!(
                 findings.is_empty(),
@@ -124,18 +137,11 @@ fn snic_points_lint_clean_for_both_payloads() {
 #[test]
 fn lint_findings_track_the_transmitted_bit_on_the_cache_channel() {
     let cfg = machine_config(GEOM, EPOCH, Mode::Commodity);
-    let streams = vec![
-        EventSource::Replay(ReplayStream::new(receiver_stream(
-            ChannelFamily::Cache,
-            GEOM,
-        ))),
-        EventSource::Replay(ReplayStream::new(sender_stream(
-            ChannelFamily::Cache,
-            false,
-            GEOM,
-        ))),
-    ];
-    let (_, trace) = run_reference_traced(&cfg, streams);
+    let trace = traced(
+        &cfg,
+        receiver_stream(ChannelFamily::Cache, GEOM),
+        sender_stream(ChannelFamily::Cache, false, GEOM),
+    );
     let findings = linter_for(Mode::Commodity).lint(&TraceBundle::from_uarch(&trace));
     assert!(
         findings.is_empty(),
