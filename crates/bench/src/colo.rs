@@ -17,13 +17,12 @@
 
 use snic_nf::{NfKind, StreamingRecorder};
 use snic_sim::SimJob;
-use snic_trace::{IctfConfig, PhaseSchedule, PhasedConfig, PhasedTrace};
-use snic_types::Packet;
+use snic_trace::{PhaseSchedule, PhasedConfig, PhasedTrace};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::RunOutcome;
 use snic_uarch::{Access, StreamedSource, TraceSource};
 
-use crate::streams::build_scaled;
+use crate::streams::{build_scaled, workload_config, WorkloadIter};
 use crate::Scale;
 
 /// One tenant of a streamed colocation: an NF personality, a workload
@@ -45,7 +44,10 @@ pub struct TenantSpec {
 /// (accesses/second, measured on the dev host; only ratios matter).
 /// DPI walks ~500 payload bytes per packet so it streams fastest;
 /// LPM's two table probes per packet make it the slowest to
-/// regenerate.
+/// regenerate. These are the rates measured before header-only kinds
+/// stopped synthesizing payload bytes; they are kept as they are
+/// because they define the billion-event run's mix, budgets and
+/// digests, not because they still match today's rates.
 fn regen_weight(kind: NfKind) -> u64 {
     match kind {
         NfKind::Dpi => 33,
@@ -148,40 +150,22 @@ impl TraceSource for CappedSource {
     }
 }
 
-/// An endless phased packet stream (the event cap, not a packet count,
-/// bounds the pipeline).
-struct PhasedPackets {
-    trace: PhasedTrace,
-}
-
-impl Iterator for PhasedPackets {
-    type Item = Packet;
-
-    fn next(&mut self) -> Option<Packet> {
-        Some(self.trace.next_packet())
-    }
-}
-
 /// Build one tenant's streaming reference-stream pipeline:
-/// phased packets → NF personality → exact event cap.
+/// phased packets → NF personality → exact event cap. The packet
+/// stream is endless (the event cap, not a packet count, bounds the
+/// pipeline) and carries payload bytes only for kinds that read them.
 pub fn tenant_source(spec: &TenantSpec, scale: &Scale) -> Box<dyn TraceSource> {
     let scale = *scale;
     let spec_for_nf = spec.clone();
     let spec_for_pkts = spec.clone();
     let recorder = StreamingRecorder::new(
         move || build_scaled(spec_for_nf.kind, &scale, spec_for_nf.seed),
-        move || PhasedPackets {
-            trace: PhasedTrace::new(PhasedConfig {
-                base: IctfConfig {
-                    flows: scale.flows,
-                    theta: 1.1,
-                    mean_payload: 256,
-                    signature_rate: 0.02,
-                    patterns: snic_nf::dpi::synth_patterns(16, spec_for_pkts.seed ^ 0x77),
-                    seed: spec_for_pkts.seed,
-                },
+        move || {
+            let trace = PhasedTrace::new(PhasedConfig {
+                base: workload_config(&scale, spec_for_pkts.seed),
                 schedule: spec_for_pkts.schedule.clone(),
-            }),
+            });
+            WorkloadIter::for_nf(trace, usize::MAX, spec_for_pkts.kind)
         },
     );
     Box::new(CappedSource {

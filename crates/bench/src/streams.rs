@@ -11,7 +11,7 @@
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use snic_nf::{build, record_stream_iter, NfKind, StreamingRecorder};
-use snic_trace::{IctfConfig, IctfLikeTrace};
+use snic_trace::{IctfConfig, PhasedTrace};
 use snic_types::Packet;
 use snic_uarch::stream::Access;
 use snic_uarch::{EventSource, SharedReplayStream, StreamedSource, TraceSource};
@@ -42,15 +42,29 @@ pub fn doubled(trace: &SharedTrace) -> EventSource {
     SharedReplayStream::repeated(SharedTrace::clone(trace), 2).into()
 }
 
-/// The lazy packet workload shared by all NFs at this scale: packets
-/// are built one at a time as the consumer pulls, so streaming callers
-/// never hold `scale.packets` packets resident. `collect()` recovers
-/// the old materialized `Vec<Packet>` where a slice is genuinely
-/// needed.
+/// A lazy packet workload: packets are built one at a time as the
+/// consumer pulls, so streaming callers never hold the whole workload
+/// resident. `collect()` recovers a materialized `Vec<Packet>` where a
+/// slice is genuinely needed.
 #[derive(Debug)]
 pub struct WorkloadIter {
-    trace: IctfLikeTrace,
+    trace: PhasedTrace,
     remaining: usize,
+    payload: bool,
+}
+
+impl WorkloadIter {
+    /// Up to `packets` packets of `trace` for an NF of `kind`. Payload
+    /// bytes are synthesized only if the NF reads them
+    /// ([`NfKind::reads_payload`]); other kinds get zeroed payloads of
+    /// the same length, which leave their access streams unchanged.
+    pub(crate) fn for_nf(trace: PhasedTrace, packets: usize, kind: NfKind) -> WorkloadIter {
+        WorkloadIter {
+            trace,
+            remaining: packets,
+            payload: kind.reads_payload(),
+        }
+    }
 }
 
 impl Iterator for WorkloadIter {
@@ -61,7 +75,11 @@ impl Iterator for WorkloadIter {
             return None;
         }
         self.remaining -= 1;
-        Some(self.trace.next_packet())
+        Some(if self.payload {
+            self.trace.next_packet()
+        } else {
+            self.trace.next_header_only_packet()
+        })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -71,21 +89,34 @@ impl Iterator for WorkloadIter {
 
 impl ExactSizeIterator for WorkloadIter {}
 
-/// Generate the packet workload shared by all NFs at this scale,
-/// lazily.
-pub fn workload(scale: &Scale, seed: u64) -> WorkloadIter {
-    let trace = IctfLikeTrace::new(IctfConfig {
+/// The base packet workload at this scale: `scale.flows` Zipf(1.1)
+/// flows, ~256-byte payloads, 2% carrying a DPI signature.
+pub fn workload_config(scale: &Scale, seed: u64) -> IctfConfig {
+    IctfConfig {
         flows: scale.flows,
         theta: 1.1,
         mean_payload: 256,
         signature_rate: 0.02,
         patterns: snic_nf::dpi::synth_patterns(16, seed ^ 0x77),
         seed,
-    });
-    WorkloadIter {
-        trace,
-        remaining: scale.packets,
     }
+}
+
+/// Generate the stationary packet workload at this scale, lazily, with
+/// full payloads.
+pub fn workload(scale: &Scale, seed: u64) -> WorkloadIter {
+    WorkloadIter {
+        trace: PhasedTrace::stationary(workload_config(scale, seed)),
+        remaining: scale.packets,
+        payload: true,
+    }
+}
+
+/// The workload one NF kind records over: [`workload`] at a per-kind
+/// seed, with payload bytes only if the kind reads them.
+fn nf_workload(kind: NfKind, scale: &Scale, seed: u64) -> WorkloadIter {
+    let trace = PhasedTrace::stationary(workload_config(scale, seed ^ kind as u64 ^ 0x5eed));
+    WorkloadIter::for_nf(trace, scale.packets, kind)
 }
 
 /// Build the NF at this scale (smaller structures than `with_defaults`
@@ -111,7 +142,7 @@ pub fn build_scaled(kind: NfKind, scale: &Scale, seed: u64) -> Box<dyn snic_nf::
 /// Record the reference stream of one NF kind over the shared workload.
 pub fn nf_access_trace(kind: NfKind, scale: &Scale, seed: u64) -> Vec<Access> {
     let mut nf = build_scaled(kind, scale, seed);
-    record_stream_iter(nf.as_mut(), workload(scale, seed ^ kind as u64 ^ 0x5eed))
+    record_stream_iter(nf.as_mut(), nf_workload(kind, scale, seed))
 }
 
 /// Stream one NF kind's reference trace without materializing it: the
@@ -122,7 +153,7 @@ pub fn nf_trace_source(kind: NfKind, scale: &Scale, seed: u64) -> Box<dyn TraceS
     let scale = *scale;
     Box::new(StreamingRecorder::new(
         move || build_scaled(kind, &scale, seed),
-        move || workload(&scale, seed ^ kind as u64 ^ 0x5eed),
+        move || nf_workload(kind, &scale, seed),
     ))
 }
 

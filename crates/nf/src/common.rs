@@ -44,6 +44,14 @@ impl NfKind {
             NfKind::Monitor => "Mon",
         }
     }
+
+    /// Whether this kind's access stream depends on payload bytes. Only
+    /// DPI walks the payload; the others act on headers and length, so
+    /// their packets can carry zeroed payloads of the same length
+    /// (`crates/bench/tests/payload_blindness.rs` holds this).
+    pub const fn reads_payload(self) -> bool {
+        matches!(self, NfKind::Dpi)
+    }
 }
 
 /// What the NF decided about a packet.

@@ -173,11 +173,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snic_trace::{IctfConfig, IctfLikeTrace};
+    use snic_trace::{IctfConfig, PhasedTrace};
     use snic_uarch::TraceSource;
 
     fn packets(n: usize) -> Vec<Packet> {
-        let mut trace = IctfLikeTrace::new(IctfConfig {
+        let mut trace = PhasedTrace::stationary(IctfConfig {
             flows: 64,
             seed: 0x5eed,
             ..IctfConfig::default()

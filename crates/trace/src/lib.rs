@@ -9,15 +9,15 @@
 //!
 //! - [`ZipfSampler`]: a deterministic Zipf(θ) sampler over flow ranks,
 //! - [`FlowTable`]: a seeded population of five-tuple flows,
-//! - [`IctfLikeTrace`]: packets drawn from a fixed flow pool with Zipf
-//!   popularity — the workload that drives the Figure 5 experiments,
 //! - [`CaidaLikeTrace`]: a time-stamped trace with flow arrival/departure
 //!   churn and heavy-tailed flow sizes — drives the Monitor experiments
 //!   (Figure 7 and the Table 6 memory profile),
 //! - [`PayloadGen`]: payload synthesis with optional embedded DPI patterns,
-//! - [`PhasedTrace`]: the ICTF-like stream with time-varying workload
-//!   phases (diurnal cycles, flash crowds, heavy-hitter migration, flow
-//!   churn) the paper's stationary snapshot cannot express — drives the
+//! - [`PhasedTrace`]: packets drawn from a fixed flow pool with Zipf
+//!   popularity ([`IctfConfig`]). Under [`PhaseSchedule::stationary`]
+//!   it is the paper's snapshot workload that drives the Figure 5
+//!   experiments; other schedules add time-varying phases (diurnal
+//!   cycles, flash crowds, heavy-hitter migration, flow churn) for the
 //!   32–64-tenant streaming sweeps.
 //!
 //! All generators are deterministic given a seed. [`wire`] adds a
@@ -29,7 +29,6 @@
 
 pub mod caida;
 pub mod flows;
-pub mod ictf;
 pub mod payload;
 pub mod phases;
 pub mod wire;
@@ -37,8 +36,7 @@ pub mod zipf;
 
 pub use caida::{CaidaConfig, CaidaLikeTrace};
 pub use flows::{FlowTable, FlowTableConfig};
-pub use ictf::{IctfConfig, IctfLikeTrace};
 pub use payload::PayloadGen;
-pub use phases::{PhaseSchedule, PhasedConfig, PhasedTrace};
+pub use phases::{IctfConfig, PhaseSchedule, PhasedConfig, PhasedTrace};
 pub use wire::{deserialize_trace, load_trace, save_trace, serialize_trace};
 pub use zipf::ZipfSampler;

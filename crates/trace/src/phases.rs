@@ -25,10 +25,11 @@
 //!   old flows die and new ones take their place (new tags, new NF
 //!   state) without perturbing popularity.
 //!
-//! With every knob off, [`PhasedTrace`] is bit-identical to
-//! [`IctfLikeTrace`](crate::IctfLikeTrace) at the same config — the
-//! paper's snapshot workload is the degenerate phase schedule, which is
-//! what keeps the existing goldens valid.
+//! With every knob off ([`PhaseSchedule::stationary`]) the stream is
+//! the paper's snapshot workload: "packet streams came from a pool of
+//! 100,000 flows that were uniformly sampled from the ICTF trace; those
+//! traces had a Zipf distribution with a skewness of 1.1" (§5.3). The
+//! fig5 goldens pin that degenerate schedule.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -36,9 +37,39 @@ use snic_types::packet::PacketBuilder;
 use snic_types::{FiveTuple, Packet};
 
 use crate::flows::{FlowTable, FlowTableConfig};
-use crate::ictf::IctfConfig;
 use crate::payload::PayloadGen;
 use crate::zipf::ZipfSampler;
+
+/// The base ICTF-like workload of a [`PhasedTrace`]: flow pool, Zipf
+/// popularity and payloads.
+#[derive(Debug, Clone)]
+pub struct IctfConfig {
+    /// Number of distinct flows in the pool.
+    pub flows: usize,
+    /// Zipf skewness of flow popularity.
+    pub theta: f64,
+    /// Mean payload length in bytes.
+    pub mean_payload: usize,
+    /// Probability a payload carries a DPI signature.
+    pub signature_rate: f64,
+    /// Signature patterns to embed.
+    pub patterns: Vec<Vec<u8>>,
+    /// RNG seed.
+    pub seed: u64,
+}
+
+impl Default for IctfConfig {
+    fn default() -> Self {
+        IctfConfig {
+            flows: 100_000,
+            theta: 1.1,
+            mean_payload: 256,
+            signature_rate: 0.01,
+            patterns: Vec::new(),
+            seed: 0x1c7f,
+        }
+    }
+}
 
 /// The time-varying knobs of a [`PhasedTrace`]. All periods count in
 /// packets (the generator's clock); a period of 0 disables that effect.
@@ -229,10 +260,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl PhasedTrace {
-    /// Build the flow pool and samplers. With a
-    /// [`PhaseSchedule::stationary`] schedule this constructs the exact
-    /// generator [`IctfLikeTrace`](crate::IctfLikeTrace) would (same
-    /// seed derivations), so the two streams are bit-identical.
+    /// Build the flow pool and samplers.
     pub fn new(config: PhasedConfig) -> PhasedTrace {
         let base = config.base;
         let flows = FlowTable::generate(&FlowTableConfig {
@@ -251,6 +279,15 @@ impl PhasedTrace {
             pool: base.flows,
             seed: base.seed,
         }
+    }
+
+    /// The paper's stationary snapshot workload: `base` under
+    /// [`PhaseSchedule::stationary`].
+    pub fn stationary(base: IctfConfig) -> PhasedTrace {
+        PhasedTrace::new(PhasedConfig {
+            base,
+            schedule: PhaseSchedule::stationary(),
+        })
     }
 
     /// The phase schedule in effect.
@@ -310,8 +347,9 @@ impl PhasedTrace {
         self.flows.get(self.phased_rank(rank, t))
     }
 
-    /// Build the next packet in the stream.
-    pub fn next_packet(&mut self) -> Packet {
+    /// Draw the next packet's flow and payload length (±50% around the
+    /// mean).
+    fn next_header(&mut self) -> (PacketBuilder, usize) {
         let ft = self.next_flow();
         let len = if self.mean_payload == 0 {
             0
@@ -320,14 +358,30 @@ impl PhasedTrace {
             self.rng
                 .random_range(self.mean_payload - half..=self.mean_payload + half)
         };
-        let payload = self.payloads.generate(len);
-        PacketBuilder::new(ft.src_ip, ft.dst_ip, ft.protocol, ft.src_port, ft.dst_port)
-            .payload(payload)
-            .build()
+        let builder =
+            PacketBuilder::new(ft.src_ip, ft.dst_ip, ft.protocol, ft.src_port, ft.dst_port);
+        (builder, len)
+    }
+
+    /// Build the next packet in the stream.
+    pub fn next_packet(&mut self) -> Packet {
+        let (builder, len) = self.next_header();
+        builder.payload(self.payloads.generate(len)).build()
+    }
+
+    /// Build the next packet with the same flow and length as
+    /// [`Self::next_packet`] would, but a payload of zero bytes — for
+    /// consumers that never read payload bytes. The payload generator
+    /// is left untouched, so headers and lengths stay in step with a
+    /// `next_packet` stream; mixing the two calls in one stream shifts
+    /// later payloads.
+    pub fn next_header_only_packet(&mut self) -> Packet {
+        let (builder, len) = self.next_header();
+        builder.build_zeroed(len)
     }
 
     /// Phase-clock ticks so far (flow draws; equals packets when the
-    /// stream is consumed via [`PhasedTrace::next_packet`]).
+    /// stream is consumed packet by packet).
     pub fn generated(&self) -> u64 {
         self.generated
     }
@@ -341,7 +395,6 @@ impl PhasedTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IctfLikeTrace;
     use std::collections::HashSet;
 
     fn base(flows: usize, seed: u64) -> IctfConfig {
@@ -361,13 +414,44 @@ mod tests {
     }
 
     #[test]
-    fn stationary_schedule_is_bit_identical_to_ictf() {
-        let mut plain = IctfLikeTrace::new(base(500, 0x77));
-        let mut ph = phased(500, 0x77, PhaseSchedule::stationary());
-        assert!(ph.schedule().is_stationary());
-        for _ in 0..500 {
-            assert_eq!(plain.next_packet(), ph.next_packet());
+    fn stationary_packets_parse_and_match_flows() {
+        let mut t = PhasedTrace::stationary(base(1000, 0x1c7f));
+        assert!(t.schedule().is_stationary());
+        for _ in 0..200 {
+            let p = t.next_packet();
+            let ft = FiveTuple::from_packet(&p).unwrap();
+            assert!(t.flow_table().iter().any(|f| *f == ft));
         }
+        assert_eq!(t.generated(), 200);
+    }
+
+    #[test]
+    fn stationary_popularity_is_skewed() {
+        let mut t = PhasedTrace::stationary(base(1000, 0x1c7f));
+        let mut counts = std::collections::HashMap::new();
+        for _ in 0..20_000 {
+            *counts.entry(t.next_flow()).or_insert(0u64) += 1;
+        }
+        let mut sorted: Vec<u64> = counts.values().copied().collect();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        // Top flow should dominate the median flow under Zipf(1.1).
+        assert!(sorted[0] > 20 * sorted[sorted.len() / 2].max(1));
+    }
+
+    #[test]
+    fn payload_lengths_jitter_around_mean() {
+        let mut t = PhasedTrace::stationary(IctfConfig {
+            mean_payload: 200,
+            ..base(100, 0x1c7f)
+        });
+        let mut total = 0usize;
+        for _ in 0..1000 {
+            let l = t.next_packet().payload().len();
+            assert!((100..=300).contains(&l), "{l}");
+            total += l;
+        }
+        let mean = total / 1000;
+        assert!((150..=250).contains(&mean), "{mean}");
     }
 
     #[test]

@@ -76,10 +76,10 @@ pub fn load_trace(path: &std::path::Path) -> Result<Vec<Packet>, SnicError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ictf::{IctfConfig, IctfLikeTrace};
+    use crate::{IctfConfig, PhasedTrace};
 
     fn sample(n: usize) -> Vec<Packet> {
-        let mut t = IctfLikeTrace::new(IctfConfig {
+        let mut t = PhasedTrace::stationary(IctfConfig {
             flows: 100,
             mean_payload: 64,
             ..IctfConfig::default()

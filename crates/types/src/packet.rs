@@ -456,12 +456,29 @@ impl PacketBuilder {
 
     /// Serialize into a [`Packet`].
     pub fn build(self) -> Packet {
+        let mut out = self.headers(self.payload.len());
+        out.put_slice(&self.payload);
+        Packet::from_bytes(out.freeze())
+    }
+
+    /// Serialize into a [`Packet`] whose payload is `len` zero bytes,
+    /// written straight into the packet buffer; a payload set with
+    /// [`Self::payload`] is ignored.
+    pub fn build_zeroed(self, len: usize) -> Packet {
+        let mut out = self.headers(len);
+        out.put_bytes(0, len);
+        Packet::from_bytes(out.freeze())
+    }
+
+    /// The Ethernet, IPv4 and L4 headers for a `payload_len`-byte
+    /// payload, in a buffer with room for the payload.
+    fn headers(&self, payload_len: usize) -> BytesMut {
         let l4_len = match self.protocol {
             Protocol::Tcp => TcpHeader::MIN_LEN,
             Protocol::Udp => UdpHeader::LEN,
             Protocol::Other(_) => 0,
         };
-        let total_len = (Ipv4Header::LEN + l4_len + self.payload.len()) as u16;
+        let total_len = (Ipv4Header::LEN + l4_len + payload_len) as u16;
         let mut out = BytesMut::with_capacity(EthernetHeader::LEN + usize::from(total_len));
         self.eth.write(&mut out);
         let ip = Ipv4Header {
@@ -489,14 +506,13 @@ impl PacketBuilder {
                 UdpHeader {
                     src_port: self.src_port,
                     dst_port: self.dst_port,
-                    len: (UdpHeader::LEN + self.payload.len()) as u16,
+                    len: (UdpHeader::LEN + payload_len) as u16,
                 }
                 .write(&mut out);
             }
             Protocol::Other(_) => {}
         }
-        out.put_slice(&self.payload);
-        Packet::from_bytes(out.freeze())
+        out
     }
 }
 
@@ -547,6 +563,18 @@ mod tests {
         assert_eq!(udp.src_port, 53);
         assert_eq!(udp.len, 8 + 32);
         assert_eq!(p.payload().len(), 32);
+    }
+
+    #[test]
+    fn zeroed_build_matches_zero_payload() {
+        for proto in [Protocol::Tcp, Protocol::Udp, Protocol::Other(47)] {
+            let b = PacketBuilder::new(7, 8, proto, 1000, 2000);
+            assert_eq!(
+                b.clone().build_zeroed(37),
+                b.payload(vec![0; 37]).build(),
+                "{proto:?}"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use snic::core::instr::{LaunchRequest, NfImage};
 use snic::crypto::keys::VendorCa;
 use snic::nf::{build, record_stream, NfKind};
 use snic::pktio::rules::{RuleMatch, SwitchRule};
-use snic::trace::{IctfConfig, IctfLikeTrace};
+use snic::trace::{IctfConfig, PhasedTrace};
 use snic::types::packet::PacketBuilder;
 use snic::types::{ByteSize, CoreId, NfId, Protocol};
 use snic::uarch::config::MachineConfig;
@@ -68,7 +68,7 @@ fn main() {
     // Microarchitectural non-interference: replay a real firewall's
     // reference stream next to an idle vs. hostile co-tenant.
     let mut fw = build(NfKind::Firewall, 5);
-    let mut trace = IctfLikeTrace::new(IctfConfig {
+    let mut trace = PhasedTrace::stationary(IctfConfig {
         flows: 2000,
         ..IctfConfig::default()
     });

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Workspace lint gate: formatting, clippy (deny warnings), then the
-# tier-1 check from ROADMAP.md with a per-test-binary runtime budget.
+# tier-1 check from ROADMAP.md and the whole workspace's tests, each
+# with a per-test-binary runtime budget.
 # Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,15 +21,24 @@ echo "==> tier-1: cargo build --release && cargo test -q (budget ${budget}s per 
 cargo build --release
 test_log="$(mktemp)"
 trap 'rm -f "$test_log"' EXIT
-cargo test -q 2>&1 | tee "$test_log"
 
 # `cargo test -q` ends each binary's summary with "... finished in X.XXs".
-slow="$(awk -v budget="$budget" '/finished in [0-9.]+s$/ { if ($NF + 0 > budget) print }' "$test_log")"
-if [ -n "$slow" ]; then
-    echo "FAIL: test runtime budget of ${budget}s exceeded:" >&2
-    echo "$slow" >&2
-    exit 1
-fi
+check_budget() {
+    slow="$(awk -v budget="$budget" '/finished in [0-9.]+s$/ { if ($NF + 0 > budget) print }' "$test_log")"
+    if [ -n "$slow" ]; then
+        echo "FAIL: test runtime budget of ${budget}s exceeded:" >&2
+        echo "$slow" >&2
+        exit 1
+    fi
+}
+cargo test -q 2>&1 | tee "$test_log"
+check_budget
+
+# Every test binary of every workspace crate, not only the root
+# package tier-1 runs, under the same per-binary budget.
+echo "==> workspace tests: cargo test -q --workspace (budget ${budget}s per test binary)"
+cargo test -q --workspace 2>&1 | tee "$test_log"
+check_budget
 
 # Fault-matrix smoke gate: the blast-radius differential must be
 # deterministic regardless of executor parallelism, and the fault-
@@ -85,8 +95,11 @@ cargo test -q -p snic-bench --test shard_determinism
 # and the synthetic workload) must match its materialized replay
 # bit-for-bit, and serial, pooled and sharded execution of the same jobs
 # must agree — the single SimJob run path every sweep goes through.
-echo "==> streaming + parallel differentials"
-cargo test -q -p snic-bench --test streaming_differential --test parallel_determinism
+# Payload blindness: NF kinds fed zeroed payloads must record exactly
+# what they record over full payloads.
+echo "==> streaming + parallel differentials + payload blindness"
+cargo test -q -p snic-bench --test streaming_differential --test parallel_determinism \
+    --test payload_blindness
 
 # The benchmark (perfbench/, its own workspace) pins part of the public
 # API of snic-uarch, snic-sim and snic-bench; building and testing it

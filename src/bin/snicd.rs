@@ -23,13 +23,22 @@
 //! - `--snapshot-out <path>`: whenever a `snapshot` op completes, write
 //!   the sealed image there; also writes a final image at clean exit.
 //!
+//! A request line that is not UTF-8 or longer than [`MAX_LINE_BYTES`]
+//! is answered with a `SERVE-BAD-REQUEST` rejection and neither
+//! journaled nor ingested; serving continues with the next line.
+//!
 //! Exit codes (documented in the README): `0` success, `2` usage or
 //! I/O error, `8` restore failure.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use snic::serve::daemon::{Daemon, DaemonConfig};
-use snic::serve::snapshot;
+use snic::serve::protocol::reject;
+use snic::serve::{codes, snapshot};
+
+/// Longest request line read, in bytes, excluding the newline. The
+/// reader never buffers more than this of one line.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 struct Opts {
     cfg: DaemonConfig,
@@ -102,6 +111,58 @@ fn serve_line(
     Ok(())
 }
 
+/// Read the next line of `reader` into `buf` without its line ending,
+/// buffering at most [`MAX_LINE_BYTES`] + 1 bytes of it. `None` at end
+/// of input; `Some(Err)` carries the rejection text for a line that is
+/// too long (the rest of it is skipped) or not UTF-8.
+fn read_line<'a>(
+    reader: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+) -> std::io::Result<Option<Result<&'a str, String>>> {
+    buf.clear();
+    if reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', buf)?
+        == 0
+    {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(Err(format!(
+            "request line longer than {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|_| {
+        "request line is not valid UTF-8".to_string()
+    })))
+}
+
+/// Serve every line of `reader` until end of input.
+fn serve_stream(
+    daemon: &mut Daemon,
+    opts: &Opts,
+    reader: &mut impl BufRead,
+    emit: &mut dyn FnMut(&str) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let mut buf = Vec::new();
+    while let Some(line) = read_line(reader, &mut buf).map_err(|e| format!("read: {e}"))? {
+        match line {
+            Ok(line) => serve_line(daemon, opts, line, emit)?,
+            // Not journaled or ingested, so a restore never replays it.
+            Err(why) => emit(&reject(0, "", "?", codes::BAD_REQUEST, &why))
+                .map_err(|e| format!("write response: {e}"))?,
+        }
+    }
+    Ok(())
+}
+
 fn run(opts: &Opts) -> Result<(), (i32, String)> {
     let mut daemon = match &opts.restore {
         Some(path) => {
@@ -126,17 +187,14 @@ fn run(opts: &Opts) -> Result<(), (i32, String)> {
         eprintln!("snicd: listening on {path}");
         for stream in listener.incoming() {
             let stream = stream.map_err(|e| (2, format!("accept: {e}")))?;
-            let reader = std::io::BufReader::new(
+            let mut reader = std::io::BufReader::new(
                 stream.try_clone().map_err(|e| (2, format!("clone: {e}")))?,
             );
             let mut writer = std::io::BufWriter::new(stream);
-            for line in reader.lines() {
-                let line = line.map_err(|e| (2, format!("read: {e}")))?;
-                serve_line(&mut daemon, opts, &line, &mut |r| {
-                    writeln!(writer, "{r}").and_then(|()| writer.flush())
-                })
-                .map_err(|e| (2, e))?;
-            }
+            serve_stream(&mut daemon, opts, &mut reader, &mut |r| {
+                writeln!(writer, "{r}").and_then(|()| writer.flush())
+            })
+            .map_err(|e| (2, e))?;
             // One connection at a time; a client sending `drain` then
             // disconnecting is the clean shutdown signal.
             if daemon
@@ -148,16 +206,12 @@ fn run(opts: &Opts) -> Result<(), (i32, String)> {
             }
         }
     } else {
-        let stdin = std::io::stdin();
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
-        for line in stdin.lock().lines() {
-            let line = line.map_err(|e| (2, format!("read stdin: {e}")))?;
-            serve_line(&mut daemon, opts, &line, &mut |r| {
-                writeln!(out, "{r}").and_then(|()| out.flush())
-            })
-            .map_err(|e| (2, e))?;
-        }
+        serve_stream(&mut daemon, opts, &mut std::io::stdin().lock(), &mut |r| {
+            writeln!(out, "{r}").and_then(|()| out.flush())
+        })
+        .map_err(|e| (2, e))?;
     }
 
     if let Some(path) = &opts.snapshot_out {
@@ -248,5 +302,68 @@ mod tests {
         assert!(responses.iter().any(|r| r.contains("\"op\":\"snapshot\"")));
         let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_file(&snap);
+    }
+
+    /// Serve `input` with a journal; return the responses and the
+    /// journaled lines.
+    fn serve_journaled(input: &[u8], name: &str) -> (Vec<String>, Vec<String>) {
+        let journal = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_file(&journal);
+        let opts = Opts {
+            cfg: DaemonConfig::default(),
+            journal: Some(journal.to_string_lossy().into_owned()),
+            restore: None,
+            snapshot_out: None,
+            socket: None,
+        };
+        let mut daemon = Daemon::new(opts.cfg.clone());
+        let mut responses = Vec::new();
+        serve_stream(&mut daemon, &opts, &mut &input[..], &mut |r| {
+            responses.push(r.to_string());
+            Ok(())
+        })
+        .expect("a bad line must not stop serving");
+        let logged = std::fs::read_to_string(&journal).expect("journal exists");
+        let _ = std::fs::remove_file(&journal);
+        assert_eq!(daemon.history(), logged.lines().collect::<Vec<_>>());
+        (responses, logged.lines().map(str::to_string).collect())
+    }
+
+    fn assert_rejected_then_served(responses: &[String], journaled: &[String]) {
+        assert_eq!(responses.len(), 2, "{responses:?}");
+        assert!(
+            responses[0].contains(codes::BAD_REQUEST),
+            "{}",
+            responses[0]
+        );
+        assert!(
+            responses[1].contains("\"op\":\"health\",\"ok\":true"),
+            "{}",
+            responses[1]
+        );
+        assert_eq!(journaled, [r#"{"op":"health"}"#], "bad line journaled");
+    }
+
+    #[test]
+    fn non_utf8_line_is_rejected_and_serving_continues() {
+        let (responses, journaled) =
+            serve_journaled(b"\xff\xfe\n{\"op\":\"health\"}\n", "snicd-test-utf8.log");
+        assert!(responses[0].contains("UTF-8"), "{}", responses[0]);
+        assert_rejected_then_served(&responses, &journaled);
+    }
+
+    #[test]
+    fn over_long_line_is_rejected_and_serving_continues() {
+        let mut input = vec![b'['; MAX_LINE_BYTES + 4096];
+        input.extend_from_slice(b"\r\n{\"op\":\"health\"}\r\n");
+        let (responses, journaled) = serve_journaled(&input, "snicd-test-long.log");
+        assert!(responses[0].contains("longer than"), "{}", responses[0]);
+        assert_rejected_then_served(&responses, &journaled);
+        // A line of exactly the cap is still read whole.
+        let mut buf = Vec::new();
+        let mut exact = vec![b'x'; MAX_LINE_BYTES];
+        exact.push(b'\n');
+        let line = read_line(&mut &exact[..], &mut buf).unwrap().unwrap();
+        assert_eq!(line.map(str::len), Ok(MAX_LINE_BYTES));
     }
 }

@@ -9,7 +9,7 @@ use snic::core::instr::{LaunchRequest, NfImage};
 use snic::crypto::keys::VendorCa;
 use snic::nf::{build, NetworkFunction, NfKind, NullSink, Verdict};
 use snic::pktio::rules::{RuleMatch, SwitchRule};
-use snic::trace::{IctfConfig, IctfLikeTrace};
+use snic::trace::{IctfConfig, PhasedTrace};
 use snic::types::{ByteSize, CoreId, FiveTuple, NfId};
 
 fn vendor() -> VendorCa {
@@ -56,7 +56,7 @@ fn four_tenants_process_disjoint_traffic() {
 
     // Generate realistic traffic and force the dst ports to rotate over
     // the four tenants.
-    let mut trace = IctfLikeTrace::new(IctfConfig {
+    let mut trace = PhasedTrace::stationary(IctfConfig {
         flows: 500,
         ..IctfConfig::default()
     });
