@@ -3,8 +3,15 @@
 //! Little-endian `u64` limbs, schoolbook multiplication, Knuth Algorithm D
 //! division, binary modular exponentiation, Miller–Rabin primality testing,
 //! and modular inverse via the extended Euclidean algorithm. Sized for the
-//! needs of [`crate::dh`] (2048-bit) and [`crate::rsa`] (1024–2048 bit), not
-//! for general-purpose performance.
+//! needs of [`crate::dh`] and [`crate::rsa`] (the simulated key hierarchy
+//! is 768-bit).
+//!
+//! [`BigUint::modpow`] with an odd modulus — every RSA, DH and
+//! Miller–Rabin modulus — runs in the Montgomery domain: CIOS
+//! multiplication over fixed-width limb buffers allocated once per
+//! exponentiation, so no step divides or allocates. The result is fully
+//! reduced, hence identical to plain square-and-multiply, which an even
+//! modulus still uses.
 
 use rand::Rng;
 
@@ -340,7 +347,8 @@ impl BigUint {
         self.mul(other).rem(modulus)
     }
 
-    /// `self^exp mod modulus` by left-to-right binary exponentiation.
+    /// `self^exp mod modulus` by left-to-right binary exponentiation, in
+    /// the Montgomery domain when `modulus` is odd.
     ///
     /// # Panics
     ///
@@ -349,6 +357,9 @@ impl BigUint {
         assert!(!modulus.is_zero(), "modpow with zero modulus");
         if modulus == &BigUint::one() {
             return BigUint::zero();
+        }
+        if !modulus.is_even() {
+            return Montgomery::new(modulus).pow(&self.rem(modulus), exp);
         }
         let mut result = BigUint::one();
         let base = self.rem(modulus);
@@ -482,6 +493,118 @@ impl BigUint {
             }
         }
     }
+}
+
+/// Montgomery arithmetic modulo an odd `m` of `n` limbs, with `R = 2^(64n)`.
+struct Montgomery {
+    /// The modulus limbs (exactly `n`, top limb nonzero).
+    m: Vec<u64>,
+    /// `-m⁻¹ mod 2⁶⁴`.
+    m_inv: u64,
+    /// `R² mod m`, `n` limbs: maps a residue into the Montgomery domain.
+    r2: Vec<u64>,
+}
+
+impl Montgomery {
+    fn new(modulus: &BigUint) -> Montgomery {
+        let m = modulus.limbs.clone();
+        let n = m.len();
+        // Newton's iteration doubles the correct low bits of the inverse
+        // each step; an odd m0 is its own inverse mod 2³.
+        let mut inv = m[0];
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m[0].wrapping_mul(inv)));
+        }
+        let mut r2 = BigUint::one().shl(128 * n).rem(modulus).limbs;
+        r2.resize(n, 0);
+        Montgomery {
+            m,
+            m_inv: inv.wrapping_neg(),
+            r2,
+        }
+    }
+
+    /// `out = a·b·R⁻¹ mod m` for `a, b < m` (CIOS); `t` is `n + 2` limbs
+    /// of scratch.
+    fn mul(&self, a: &[u64], b: &[u64], t: &mut [u64], out: &mut [u64]) {
+        let n = self.m.len();
+        // Fixed-length views let the compiler drop the bounds checks.
+        let (m, a, t) = (&self.m[..n], &a[..n], &mut t[..n + 2]);
+        t.fill(0);
+        for &bi in b {
+            let mut carry = 0u64;
+            for (tj, &aj) in t.iter_mut().zip(a) {
+                let cur = u128::from(*tj) + u128::from(aj) * u128::from(bi) + u128::from(carry);
+                *tj = cur as u64;
+                carry = (cur >> 64) as u64;
+            }
+            let cur = u128::from(t[n]) + u128::from(carry);
+            t[n] = cur as u64;
+            t[n + 1] = (cur >> 64) as u64;
+            // Add q·m with q chosen so the low limb cancels, then shift
+            // down one limb.
+            let q = t[0].wrapping_mul(self.m_inv);
+            let mut carry = ((u128::from(t[0]) + u128::from(q) * u128::from(m[0])) >> 64) as u64;
+            for j in 1..n {
+                let cur = u128::from(t[j]) + u128::from(q) * u128::from(m[j]) + u128::from(carry);
+                t[j - 1] = cur as u64;
+                carry = (cur >> 64) as u64;
+            }
+            let cur = u128::from(t[n]) + u128::from(carry);
+            t[n - 1] = cur as u64;
+            t[n] = t[n + 1] + (cur >> 64) as u64;
+        }
+        // t < 2m: one conditional subtraction fully reduces it.
+        if t[n] != 0 || !limbs_less(&t[..n], m) {
+            let mut borrow = false;
+            for j in 0..n {
+                let (d1, b1) = t[j].overflowing_sub(m[j]);
+                let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+                t[j] = d2;
+                borrow = b1 || b2;
+            }
+        }
+        out.copy_from_slice(&t[..n]);
+    }
+
+    /// `base^exp mod m` for `base < m`.
+    fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let n = self.m.len();
+        let mut t = vec![0u64; n + 2];
+        let mut b = base.limbs.clone();
+        b.resize(n, 0);
+        let mut base_m = vec![0u64; n];
+        self.mul(&b, &self.r2, &mut t, &mut base_m);
+        // Montgomery one is R mod m = 1·R²·R⁻¹.
+        let mut one = vec![0u64; n];
+        one[0] = 1;
+        let mut acc = vec![0u64; n];
+        self.mul(&one, &self.r2, &mut t, &mut acc);
+        let mut tmp = vec![0u64; n];
+        for i in (0..exp.bits()).rev() {
+            self.mul(&acc, &acc, &mut t, &mut tmp);
+            if exp.bit(i) {
+                self.mul(&tmp, &base_m, &mut t, &mut acc);
+            } else {
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+        }
+        // Leave the domain: acc·1·R⁻¹.
+        self.mul(&acc, &one, &mut t, &mut tmp);
+        let mut out = BigUint { limbs: tmp };
+        out.normalize();
+        out
+    }
+}
+
+/// `a < b` for equal-length little-endian limb slices.
+fn limbs_less(a: &[u64], b: &[u64]) -> bool {
+    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
+        if x != y {
+            return x < y;
+        }
+    }
+    false
 }
 
 /// Count of trailing zero bits.

@@ -5,6 +5,13 @@
 //! certified by the NIC vendor (Appendix A). We implement deterministic
 //! RSA signatures over SHA-256 digests with a fixed PKCS#1-v1.5-style
 //! prefix. Simulation-grade only; see the crate-level disclaimer.
+//!
+//! Signing uses the Chinese remainder theorem: two half-size
+//! exponentiations mod `p` and `q`, recombined with Garner's formula.
+//! A deterministic RSA signature is unique mod `n`, so the bytes equal
+//! those of `m^d mod n`. Before a signature is released it is checked
+//! with the public exponent (`s^e mod n == m`): a faulted CRT half would
+//! otherwise yield a signature that reveals a factor of `n`.
 
 use rand::Rng;
 
@@ -33,6 +40,14 @@ pub struct RsaKeyPair {
     /// The public half.
     pub public: RsaPublicKey,
     d: BigUint,
+    p: BigUint,
+    q: BigUint,
+    /// `d mod (p - 1)`.
+    dp: BigUint,
+    /// `d mod (q - 1)`.
+    dq: BigUint,
+    /// `q⁻¹ mod p`.
+    qinv: BigUint,
 }
 
 impl RsaKeyPair {
@@ -53,9 +68,15 @@ impl RsaKeyPair {
             let n = p.mul(&q);
             let phi = p.sub(&BigUint::one()).mul(&q.sub(&BigUint::one()));
             let Some(d) = e.modinv(&phi) else { continue };
+            let qinv = q.modinv(&p).expect("distinct primes are coprime");
             return RsaKeyPair {
                 public: RsaPublicKey { n, e },
+                dp: d.rem(&p.sub(&BigUint::one())),
+                dq: d.rem(&q.sub(&BigUint::one())),
                 d,
+                p,
+                q,
+                qinv,
             };
         }
     }
@@ -65,7 +86,24 @@ impl RsaKeyPair {
         let em = pad_digest(&sha256(message), self.public.n.bits());
         let m = BigUint::from_be_bytes(&em);
         debug_assert!(m < self.public.n);
-        RsaSignature(m.modpow(&self.d, &self.public.n).to_be_bytes())
+        let mut s = self.sign_crt(&m);
+        if s.modpow(&self.public.e, &self.public.n) != m {
+            // Never release a faulted CRT result; the full exponent
+            // yields the same (unique) signature.
+            s = m.modpow(&self.d, &self.public.n);
+        }
+        RsaSignature(s.to_be_bytes())
+    }
+
+    /// `m^d mod n` by Garner's recombination of `m^dp mod p` and
+    /// `m^dq mod q`.
+    fn sign_crt(&self, m: &BigUint) -> BigUint {
+        let s_p = m.modpow(&self.dp, &self.p);
+        let s_q = m.modpow(&self.dq, &self.q);
+        // h = qinv · (s_p - s_q) mod p, then s = s_q + h·q < n.
+        let diff = s_p.add(&self.p).sub(&s_q.rem(&self.p));
+        let h = self.qinv.mulmod(&diff, &self.p);
+        s_q.add(&h.mul(&self.q))
     }
 }
 
@@ -168,6 +206,38 @@ mod tests {
     fn signing_is_deterministic() {
         let kp = test_keypair();
         assert_eq!(kp.sign(b"m"), kp.sign(b"m"));
+    }
+
+    #[test]
+    fn crt_signature_equals_full_exponent() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for kp in [test_keypair(), RsaKeyPair::generate(&mut rng, 768)] {
+            let one = BigUint::one();
+            let phi = kp.p.sub(&one).mul(&kp.q.sub(&one));
+            let d = kp.public.e.modinv(&phi).expect("e is invertible");
+            assert_eq!(kp.p.mul(&kp.q), kp.public.n);
+            for msg in [&b"a"[..], b"attestation statement", &[0u8; 100]] {
+                let m = BigUint::from_be_bytes(&pad_digest(&sha256(msg), kp.public.n.bits()));
+                let s = m.modpow(&d, &kp.public.n);
+                assert_eq!(kp.sign_crt(&m), s);
+                assert_eq!(kp.sign(msg).0, s.to_be_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn faulted_crt_half_is_never_released() {
+        let kp = test_keypair();
+        let good = kp.sign(b"msg");
+        let mut faulted = kp.clone();
+        faulted.dp = faulted.dp.add(&BigUint::one());
+        let m = BigUint::from_be_bytes(&pad_digest(&sha256(b"msg"), kp.public.n.bits()));
+        assert_ne!(
+            faulted.sign_crt(&m).to_be_bytes(),
+            good.0,
+            "fault took effect"
+        );
+        assert_eq!(faulted.sign(b"msg"), good);
     }
 
     #[test]

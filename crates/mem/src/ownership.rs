@@ -5,8 +5,13 @@
 //! this structure to reject launches whose page table references pages
 //! already bound to a live function; `nf_teardown` releases them after
 //! scrubbing.
+//!
+//! This is a range encoding of that bitmap: each successful claim is one
+//! entry `first granule → (end granule, owner)`, and claims never
+//! overlap. A launch, an attest-time coverage check and a teardown cost
+//! a few tree operations per claim instead of one per 4 KiB granule.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use snic_types::{ByteSize, NfId, SnicError};
 
@@ -15,8 +20,9 @@ use crate::phys::PAGE_GRANULE;
 /// Page-granular ownership map over physical memory.
 #[derive(Debug, Default)]
 pub struct PageOwnership {
-    /// Granule index → owner.
-    owners: HashMap<u64, NfId>,
+    /// First granule of each claim → (one past its last granule, owner).
+    /// The claimed granule ranges are disjoint and non-empty.
+    claims: BTreeMap<u64, (u64, NfId)>,
 }
 
 impl PageOwnership {
@@ -33,54 +39,85 @@ impl PageOwnership {
     pub fn claim(&mut self, base: u64, len: u64, owner: NfId) -> Result<(), SnicError> {
         let first = base / PAGE_GRANULE;
         let last = (base + len).div_ceil(PAGE_GRANULE);
-        for g in first..last {
-            if let Some(&existing) = self.owners.get(&g) {
-                return Err(SnicError::PageOwned {
-                    addr: g * PAGE_GRANULE,
-                    owner: existing,
-                });
-            }
+        if first >= last {
+            return Ok(());
         }
-        for g in first..last {
-            self.owners.insert(g, owner);
+        // The claim covering `first`, else the lowest one starting inside.
+        let conflict = self
+            .claims
+            .range(..=first)
+            .next_back()
+            .filter(|(_, &(end, _))| end > first)
+            .map(|(_, &(_, o))| (first, o))
+            .or_else(|| {
+                self.claims
+                    .range(first + 1..last)
+                    .next()
+                    .map(|(&g, &(_, o))| (g, o))
+            });
+        if let Some((g, existing)) = conflict {
+            return Err(SnicError::PageOwned {
+                addr: g * PAGE_GRANULE,
+                owner: existing,
+            });
         }
+        self.claims.insert(first, (last, owner));
         Ok(())
     }
 
     /// Release every page owned by `owner`; returns the count released.
     pub fn release_owner(&mut self, owner: NfId) -> usize {
-        let before = self.owners.len();
-        self.owners.retain(|_, &mut o| o != owner);
-        before - self.owners.len()
+        let mut released = 0;
+        self.claims.retain(|&g, &mut (end, o)| {
+            if o == owner {
+                released += end - g;
+            }
+            o != owner
+        });
+        released as usize
     }
 
     /// Owner of the page containing `addr`, if any.
     pub fn owner_of(&self, addr: u64) -> Option<NfId> {
-        self.owners.get(&(addr / PAGE_GRANULE)).copied()
+        let g = addr / PAGE_GRANULE;
+        self.claims
+            .range(..=g)
+            .next_back()
+            .filter(|(_, &(end, _))| end > g)
+            .map(|(_, &(_, o))| o)
     }
 
     /// Total bytes currently owned by `owner`.
     pub fn owned_bytes(&self, owner: NfId) -> ByteSize {
-        ByteSize(self.owners.values().filter(|&&o| o == owner).count() as u64 * PAGE_GRANULE)
+        ByteSize(
+            self.claims
+                .iter()
+                .filter(|(_, &(_, o))| o == owner)
+                .map(|(&g, &(end, _))| (end - g) * PAGE_GRANULE)
+                .sum(),
+        )
     }
 
     /// Total bytes owned by any NF.
     pub fn total_owned(&self) -> ByteSize {
-        ByteSize(self.owners.len() as u64 * PAGE_GRANULE)
+        ByteSize(
+            self.claims
+                .iter()
+                .map(|(&g, &(end, _))| (end - g) * PAGE_GRANULE)
+                .sum(),
+        )
     }
 
     /// The owned address space as maximal `(base, len, owner)` ranges,
     /// sorted by base — adjacent same-owner granules are coalesced. This
     /// is the verifier's view of the ownership map.
     pub fn owned_ranges(&self) -> Vec<(u64, u64, NfId)> {
-        let mut granules: Vec<(u64, NfId)> = self.owners.iter().map(|(&g, &o)| (g, o)).collect();
-        granules.sort_unstable_by_key(|&(g, _)| g);
-        let mut out: Vec<(u64, u64, NfId)> = Vec::new();
-        for (g, owner) in granules {
-            let base = g * PAGE_GRANULE;
+        let mut out: Vec<(u64, u64, NfId)> = Vec::with_capacity(self.claims.len());
+        for (&g, &(end, owner)) in &self.claims {
+            let (base, len) = (g * PAGE_GRANULE, (end - g) * PAGE_GRANULE);
             match out.last_mut() {
-                Some((b, l, o)) if *o == owner && *b + *l == base => *l += PAGE_GRANULE,
-                _ => out.push((base, PAGE_GRANULE, owner)),
+                Some((b, l, o)) if *o == owner && *b + *l == base => *l += len,
+                _ => out.push((base, len, owner)),
             }
         }
         out

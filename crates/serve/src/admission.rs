@@ -7,7 +7,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use snic_types::{NfId, Picos};
+use snic_types::{ByteSize, NfId, Picos};
 
 /// Per-tenant admission limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,9 +60,12 @@ impl TokenBucket {
             self.last = now;
             return;
         }
-        let elapsed = now.0.saturating_sub(self.last.0) + self.carry_ps;
+        let elapsed = now
+            .0
+            .saturating_sub(self.last.0)
+            .saturating_add(self.carry_ps);
         let minted = elapsed / quota.refill_ps;
-        self.tokens = (self.tokens + minted).min(quota.burst);
+        self.tokens = self.tokens.saturating_add(minted).min(quota.burst);
         // Remainder only carries while the bucket is filling; a full
         // bucket does not bank time.
         self.carry_ps = if self.tokens < quota.burst {
@@ -114,8 +117,8 @@ pub enum QueuedOp {
         name: String,
         /// Explicit core, or auto-assign.
         core: Option<u16>,
-        /// Region size in MiB.
-        mem_mib: u64,
+        /// Region size.
+        mem: ByteSize,
         /// Optional switch-rule destination port.
         port: Option<u16>,
     },

@@ -55,6 +55,11 @@ use snic_verify::Finding;
 use crate::admission::{Pending, QueuedOp, TenantQuota, TenantState};
 use crate::protocol::{accept, codes, esc, parse_request, reject, Request};
 
+/// `advance` never moves simulated time past 2⁶³ ps (about 107 days),
+/// so every later tick, deadline and scrub completion still sums within
+/// a `u64`.
+const CLOCK_LIMIT_PS: u64 = 1 << 63;
+
 /// Daemon configuration. Rendered canonically into snapshot images;
 /// two daemons with equal configs and equal input histories are
 /// byte-identical in every observable.
@@ -120,6 +125,9 @@ impl DaemonConfig {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("config: missing '{k}'"))
         };
+        let num32 = |j: &Json, k: &str| -> Result<u32, String> {
+            u32::try_from(num(j, k)?).map_err(|_| format!("config: '{k}' exceeds u32"))
+        };
         let mode = match j.get("mode").and_then(Json::as_str) {
             Some("snic") => NicMode::Snic,
             Some("commodity") => NicMode::Commodity,
@@ -130,16 +138,40 @@ impl DaemonConfig {
             seed: num(&j, "seed")?,
             mode,
             tick_ps: num(&j, "tick_ps")?,
-            auto_steps: num(&j, "auto_steps")? as u32,
+            auto_steps: num32(&j, "auto_steps")?,
             default_deadline_us: num(&j, "default_deadline_us")?,
             quota: TenantQuota {
-                queue_depth: num(q, "queue_depth")? as u32,
-                max_live_nfs: num(q, "max_live_nfs")? as u32,
+                queue_depth: num32(q, "queue_depth")?,
+                max_live_nfs: num32(q, "max_live_nfs")?,
                 burst: num(q, "burst")?,
                 refill_ps: num(q, "refill_ps")?,
             },
         })
     }
+}
+
+/// The tenant quota a `register` asks for: `base` with each field the
+/// request names range-checked and replaced.
+fn requested_quota(req: &Request, base: TenantQuota) -> Result<TenantQuota, String> {
+    Ok(TenantQuota {
+        queue_depth: req.int("queue_depth")?.unwrap_or(base.queue_depth),
+        max_live_nfs: req.int("max_live_nfs")?.unwrap_or(base.max_live_nfs),
+        burst: req.int("burst")?.unwrap_or(base.burst),
+        refill_ps: req.int("refill_ps")?.unwrap_or(base.refill_ps),
+    })
+}
+
+/// The parsed value, or `None` after answering `req` with a
+/// `SERVE-BAD-REQUEST` rejection carrying the parse error.
+fn or_reject<T>(
+    parsed: Result<T, String>,
+    req: &Request,
+    tenant: &str,
+    out: &mut Vec<String>,
+) -> Option<T> {
+    parsed
+        .map_err(|e| out.push(reject(req.id, tenant, &req.op, codes::BAD_REQUEST, &e)))
+        .ok()
 }
 
 /// Deterministic per-request seed: splitmix64 over the daemon seed, an
@@ -389,20 +421,38 @@ impl Daemon {
         match req.op.as_str() {
             "launch" => Ok(QueuedOp::Launch {
                 name: name()?,
-                core: req.num("core").map(|c| c as u16),
-                mem_mib: req.num("mem").ok_or("missing \"mem\"")?,
-                port: req.num("port").map(|p| p as u16),
+                core: req.int("core")?,
+                mem: req
+                    .req_int::<u64>("mem")?
+                    .checked_mul(1 << 20)
+                    .map(ByteSize)
+                    .ok_or("\"mem\" (MiB) overflows a byte count")?,
+                port: req.int("port")?,
             }),
             "teardown" => Ok(QueuedOp::Teardown { name: name()? }),
             "attest" => Ok(QueuedOp::Attest { name: name()? }),
             "stats" => Ok(QueuedOp::Stats { name: name()? }),
             "poll" => Ok(QueuedOp::Poll { name: name()? }),
             "send" => Ok(QueuedOp::Send {
-                count: req.num("count").ok_or("missing \"count\"")? as u32,
-                port: req.num("port").ok_or("missing \"port\"")? as u16,
+                count: req.req_int("count")?,
+                port: req.req_int("port")?,
             }),
             other => Err(format!("op '{other}' is not queueable")),
         }
+    }
+
+    /// The request's absolute deadline: `deadline_us` from `now`, else
+    /// the configured default (`0` there means none).
+    fn deadline(&self, req: &Request, now: Picos) -> Result<Option<Picos>, String> {
+        let us = match req.int::<u64>("deadline_us")? {
+            Some(us) => us,
+            None if self.cfg.default_deadline_us == 0 => return Ok(None),
+            None => self.cfg.default_deadline_us,
+        };
+        us.checked_mul(1_000_000)
+            .and_then(|ps| now.0.checked_add(ps))
+            .map(|d| Some(Picos(d)))
+            .ok_or_else(|| format!("deadline of {us} us overflows the simulated clock"))
     }
 
     fn admit(&mut self, req: &Request, out: &mut Vec<String>) {
@@ -423,8 +473,9 @@ impl Daemon {
                 .insert(req.tenant.clone(), TenantState::new(quota, now));
             self.order.push(req.tenant.clone());
         }
-        let op = match Self::parse_queued(req) {
-            Ok(op) => op,
+        let parsed = Self::parse_queued(req).and_then(|op| Ok((op, self.deadline(req, now)?)));
+        let (op, deadline) = match parsed {
+            Ok(parsed) => parsed,
             Err(e) => {
                 let t = self.tenants.get_mut(&req.tenant).expect("registered");
                 t.stats.submitted += 1;
@@ -479,13 +530,6 @@ impl Daemon {
                 out.push(reject(req.id, &req.tenant, &req.op, code, &error));
             }
             Ok(()) => {
-                let deadline = req
-                    .num("deadline_us")
-                    .or(match self.cfg.default_deadline_us {
-                        0 => None,
-                        us => Some(us),
-                    })
-                    .map(|us| Picos(now.0 + us * 1_000_000));
                 let tag = op.tag();
                 t.queue.push_back(Pending {
                     id: req.id,
@@ -580,9 +624,9 @@ impl Daemon {
             QueuedOp::Launch {
                 name,
                 core,
-                mem_mib,
+                mem,
                 port,
-            } => self.exec_launch(tenant, p.id, &name, core, mem_mib, port, p.deadline),
+            } => self.exec_launch(tenant, p.id, &name, core, mem, port, p.deadline),
             QueuedOp::Teardown { name } => self.exec_teardown(tenant, &name),
             QueuedOp::Attest { name } => self.exec_attest(tenant, p.id, &name),
             QueuedOp::Stats { name } => self.exec_stats(tenant, &name),
@@ -684,7 +728,7 @@ impl Daemon {
         id: u64,
         name: &str,
         core: Option<u16>,
-        mem_mib: u64,
+        mem: ByteSize,
         port: Option<u16>,
         deadline: Option<Picos>,
     ) -> ExecResult {
@@ -707,7 +751,7 @@ impl Daemon {
         };
         let mut request = LaunchRequest::minimal(
             CoreId(core),
-            ByteSize::mib(mem_mib),
+            mem,
             NfImage {
                 code: format!("{tenant}/{name}").into_bytes(),
                 config: vec![],
@@ -890,19 +934,10 @@ impl Daemon {
             return;
         }
         let now = self.nic.now();
-        let mut quota = self.cfg.quota;
-        if let Some(d) = req.num("queue_depth") {
-            quota.queue_depth = d as u32;
-        }
-        if let Some(n) = req.num("max_live_nfs") {
-            quota.max_live_nfs = n as u32;
-        }
-        if let Some(b) = req.num("burst") {
-            quota.burst = b;
-        }
-        if let Some(r) = req.num("refill_ps") {
-            quota.refill_ps = r;
-        }
+        let quota = requested_quota(req, self.cfg.quota);
+        let Some(quota) = or_reject(quota, req, &req.tenant, out) else {
+            return;
+        };
         match self.tenants.get_mut(&req.tenant) {
             Some(t) => t.quota = quota,
             None => {
@@ -930,12 +965,15 @@ impl Daemon {
     /// the soak harness and the admission property tests drive
     /// backpressure this way.
     fn op_step(&mut self, req: &Request, out: &mut Vec<String>) {
-        let n = req.num("n").unwrap_or(1);
+        let Some(n) = or_reject(req.int::<u64>("n"), req, "", out) else {
+            return;
+        };
+        let n = n.unwrap_or(1);
+        // Once a pump finds nothing to serve, none of the remaining
+        // steps can either.
         let mut served = 0u64;
-        for _ in 0..n {
-            if self.pump(out) {
-                served += 1;
-            }
+        while served < n && self.pump(out) {
+            served += 1;
         }
         out.push(accept(
             req.id,
@@ -1067,8 +1105,10 @@ impl Daemon {
             }
         };
         // `after` counts from now: 1 = the very next event at `site`.
-        let after = req.num("after").unwrap_or(1).max(1);
-        let nth = self.nic.fault_site_count(site) + after;
+        let Some(after) = or_reject(req.int::<u64>("after"), req, "", out) else {
+            return;
+        };
+        let nth = self.nic.fault_site_count(site) + after.unwrap_or(1).max(1);
         self.nic
             .arm_faults(FaultPlan::none().on_nth(site, nth, kind));
         out.push(accept(
@@ -1080,17 +1120,16 @@ impl Daemon {
     }
 
     fn op_advance(&mut self, req: &Request, out: &mut Vec<String>) {
-        let Some(us) = req.num("us") else {
-            out.push(reject(
-                req.id,
-                "",
-                "advance",
-                codes::BAD_REQUEST,
-                "missing \"us\"",
-            ));
+        let now = self.nic.now().0;
+        let dt = req.req_int::<u64>("us").and_then(|us| {
+            us.checked_mul(1_000_000)
+                .filter(|&ps| now.checked_add(ps).is_some_and(|t| t <= CLOCK_LIMIT_PS))
+                .ok_or_else(|| format!("advancing {us} us passes the simulated-clock limit"))
+        });
+        let Some(dt) = or_reject(dt, req, "", out) else {
             return;
         };
-        self.nic.advance(Picos(us * 1_000_000));
+        self.nic.advance(Picos(dt));
         out.push(accept(
             req.id,
             "",

@@ -56,9 +56,27 @@ pub struct Request {
 }
 
 impl Request {
-    /// An op-specific `u64` parameter.
-    pub fn num(&self, key: &str) -> Option<u64> {
-        self.body.get(key).and_then(Json::as_u64)
+    /// An optional op-specific integer parameter, range-checked into
+    /// `T`. `Ok(None)` when absent; `Err` (text for a
+    /// [`codes::BAD_REQUEST`] response) when present but not an integer
+    /// that fits `T`.
+    pub fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, String> {
+        self.body.get(key).map_or(Ok(None), |v| {
+            exact_u64(v)
+                .and_then(|n| T::try_from(n).ok())
+                .map(Some)
+                .ok_or_else(|| {
+                    format!(
+                        "\"{key}\" must be an integer that fits {} (and at most 2^53)",
+                        std::any::type_name::<T>()
+                    )
+                })
+        })
+    }
+
+    /// A required op-specific integer parameter (see [`Request::int`]).
+    pub fn req_int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        self.int(key)?.ok_or_else(|| format!("missing \"{key}\""))
     }
 
     /// An op-specific string parameter.
@@ -81,13 +99,22 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .and_then(Json::as_str)
         .unwrap_or("")
         .to_string();
-    let id = body.get("id").and_then(Json::as_u64).unwrap_or(0);
+    let id = match body.get("id") {
+        None => 0,
+        Some(v) => exact_u64(v).ok_or("\"id\" must be an unsigned integer")?,
+    };
     Ok(Request {
         op,
         tenant,
         id,
         body,
     })
+}
+
+/// A JSON number as a `u64`, if it is a non-negative integer a double
+/// carries exactly (at most 2⁵³) — a larger one may already be rounded.
+fn exact_u64(v: &Json) -> Option<u64> {
+    v.as_u64().filter(|&n| n <= 1 << 53)
 }
 
 /// Escape a string for inclusion in a JSON literal.
@@ -150,9 +177,28 @@ mod tests {
         assert_eq!(r.op, "launch");
         assert_eq!(r.tenant, "a");
         assert_eq!(r.id, 7);
-        assert_eq!(r.num("mem"), Some(8));
+        assert_eq!(r.int::<u64>("mem"), Ok(Some(8)));
         assert_eq!(r.str("name"), Some("fw"));
-        assert_eq!(r.num("missing"), None);
+        assert_eq!(r.int::<u64>("missing"), Ok(None));
+        assert_eq!(
+            r.req_int::<u64>("missing"),
+            Err("missing \"missing\"".into())
+        );
+    }
+
+    #[test]
+    fn integers_are_range_checked() {
+        let r = parse_request(
+            r#"{"op":"x","core":65537,"port":65535,"neg":-1,"frac":1.5,"big":9007199254740994,"s":"7"}"#,
+        )
+        .expect("parse");
+        assert_eq!(r.int::<u16>("port"), Ok(Some(65_535)));
+        assert_eq!(r.int::<u32>("core"), Ok(Some(65_537)));
+        for key in ["core", "neg", "frac", "big", "s"] {
+            let e = r.int::<u16>(key).expect_err(key);
+            assert!(e.contains(key) && e.contains("u16"), "{e}");
+        }
+        assert!(parse_request(r#"{"op":"x","id":-3}"#).is_err());
     }
 
     #[test]

@@ -91,6 +91,16 @@ cargo test -q -p snic-uarch --test cache_differential
 cargo test -q -p snic-uarch --test engine_differential
 cargo test -q -p snic-bench --test shard_determinism
 
+# Control-path differentials: Montgomery modpow must match plain
+# square-and-multiply for odd and even moduli, CRT RSA signing must
+# equal the full private exponent (and reproduce the pinned pre-CRT key
+# and signature bytes), and the range-encoded page-ownership map must
+# answer every query like a per-granule bitmap.
+echo "==> crypto + page-ownership differentials"
+cargo test -q -p snic-crypto --test montgomery_differential
+cargo test -q -p snic-crypto --lib rsa::tests
+cargo test -q -p snic-mem --test ownership_differential
+
 # Streaming and pool differentials: a streamed colocation (NF generators
 # and the synthetic workload) must match its materialized replay
 # bit-for-bit, and serial, pooled and sharded execution of the same jobs

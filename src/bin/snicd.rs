@@ -69,7 +69,10 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         match a.as_str() {
             "--seed" => opts.cfg.seed = num("--seed")?,
             "--tick-us" => opts.cfg.tick_ps = num("--tick-us")?.saturating_mul(1_000_000),
-            "--auto-steps" => opts.cfg.auto_steps = num("--auto-steps")? as u32,
+            "--auto-steps" => {
+                opts.cfg.auto_steps = u32::try_from(num("--auto-steps")?)
+                    .map_err(|_| format!("{USAGE}\n(--auto-steps exceeds u32)"))?
+            }
             "--deadline-us" => opts.cfg.default_deadline_us = num("--deadline-us")?,
             "--journal" => opts.journal = it.next().cloned(),
             "--restore" => opts.restore = it.next().cloned(),
@@ -350,6 +353,61 @@ mod tests {
             serve_journaled(b"\xff\xfe\n{\"op\":\"health\"}\n", "snicd-test-utf8.log");
         assert!(responses[0].contains("UTF-8"), "{}", responses[0]);
         assert_rejected_then_served(&responses, &journaled);
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_rejected_and_serving_continues() {
+        let dir = std::env::temp_dir();
+        let journal = dir.join("snicd-test-range-journal.log");
+        let snap = dir.join("snicd-test-range-snap.img");
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&snap);
+        let opts = Opts {
+            cfg: DaemonConfig::default(),
+            journal: Some(journal.to_string_lossy().into_owned()),
+            restore: None,
+            snapshot_out: Some(snap.to_string_lossy().into_owned()),
+            socket: None,
+        };
+        // 2^44 + 8 MiB overflows a byte count, core 65537 does not fit a
+        // u16, and 18446744073710 us is more than 2^64 ps.
+        let lines = [
+            r#"{"op":"launch","tenant":"a","id":1,"name":"fw","mem":17592186044424}"#,
+            r#"{"op":"health","id":2}"#,
+            r#"{"op":"launch","tenant":"a","id":3,"name":"fw","mem":8,"core":65537}"#,
+            r#"{"op":"launch","tenant":"a","id":4,"name":"fw","mem":8}"#,
+            r#"{"op":"advance","id":5,"us":18446744073710}"#,
+            r#"{"op":"health","id":6}"#,
+            r#"{"op":"snapshot","id":7}"#,
+        ];
+        let input = lines.join("\n") + "\n";
+        let mut daemon = Daemon::new(opts.cfg.clone());
+        let mut responses = Vec::new();
+        serve_stream(&mut daemon, &opts, &mut input.as_bytes(), &mut |r| {
+            responses.push(r.to_string());
+            Ok(())
+        })
+        .expect("serving continues");
+        assert_eq!(responses.len(), lines.len(), "{responses:?}");
+        for (i, field) in [(0, "mem"), (2, "core"), (4, "us")] {
+            assert!(
+                responses[i].contains(codes::BAD_REQUEST) && responses[i].contains(field),
+                "{}",
+                responses[i]
+            );
+        }
+        assert!(responses[1].contains("\"ok\":true"), "{}", responses[1]);
+        assert!(responses[3].contains("\"ok\":true"), "{}", responses[3]);
+        // Only the in-range launch holds an NF.
+        assert!(responses[5].contains("\"live\":1"), "{}", responses[5]);
+        let logged = std::fs::read_to_string(&journal).expect("journal exists");
+        assert_eq!(logged.lines().collect::<Vec<_>>(), lines);
+        let image = std::fs::read_to_string(&snap).expect("snapshot written");
+        let (restored, replayed) = snapshot::restore(&image).expect("image restores");
+        assert_eq!(restored.history(), daemon.history());
+        assert_eq!(replayed, responses);
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&snap);
     }
 
     #[test]
